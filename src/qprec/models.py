@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterator
-
+from functools import cached_property
 import numpy as np
 
 from .quantizer import QuantizerSpec, gaussian_moments, quantize
@@ -277,20 +276,6 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
 
 
 @dataclass(frozen=True)
-class EquivalentDraw:
-    """One realization of the Gaussian equivalent model."""
-
-    signal_gain: complex
-    interference_gain: float
-    linear_gain: complex
-    distortion_rms: float
-    input_scale: float
-    power_scale: float
-    y_hat: np.ndarray
-    s: np.ndarray
-
-
-@dataclass(frozen=True)
 class EquivalentBatch:
     signal_gain: np.ndarray
     interference_gain: np.ndarray
@@ -303,80 +288,117 @@ class EquivalentBatch:
     s: np.ndarray       # trials x K
     resampled: int = 0
 
-    def __len__(self) -> int:
-        return self.signal_gain.size
 
-    def draws(self) -> Iterator[EquivalentDraw]:
-        for t in range(len(self)):
-            yield EquivalentDraw(
-                signal_gain=complex(self.signal_gain[t]),
-                interference_gain=float(self.interference_gain[t]),
-                linear_gain=complex(self.linear_gain[t]),
-                distortion_rms=float(self.distortion_rms[t]),
-                input_scale=float(self.input_scale[t]),
-                power_scale=float(self.power_scale[t]),
-                y_hat=self.y_hat[t], s=self.s[t])
+@dataclass(frozen=True)
+class RawDraw:
+    """The randomness of one equivalent-model trial, before shaping and quantizing."""
+
+    d: np.ndarray    # K singular values
+    g1: np.ndarray   # K, direction of U^H s
+    g2: np.ndarray   # K, interference direction
+    z1: np.ndarray   # N, quantizer input direction
+    z2: np.ndarray   # N, distortion direction
+    s: np.ndarray    # K data symbols
+
+    @cached_property
+    def norms(self) -> tuple[float, float, float]:
+        """(||s||, ||g1||, ||z1||), shared by every evaluation of this draw."""
+        return tuple(float(np.linalg.norm(v)) for v in (self.s, self.g1, self.z1))
 
 
-def _equivalent_gains(config: SystemConfig, shaping: ShapingFunction,
-                      quant: QuantizerSpec, rng: RngStream,
-                      fast_spectrum: bool = True) -> dict:
-    """One draw of all equivalent-model internals; raises on degeneracy."""
+def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
     n, k = config.n, config.k
-    for attempt in range(_MAX_RESAMPLE + 1):
-        if fast_spectrum:
-            d = sample_singular_values(n, k, rng)
+    return RawDraw(d=sample_singular_values(n, k, rng),
+                   g1=sample_complex_gaussian(k, 1.0, rng),
+                   g2=sample_complex_gaussian(k, 1.0, rng),
+                   z1=sample_complex_gaussian(n, 1.0, rng),
+                   z2=sample_complex_gaussian(n, 1.0, rng),
+                   s=sample_constellation(config.points, k, rng))
+
+
+def scale_pair(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
+               quant: QuantizerSpec) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """First stage of an evaluation: (alpha, eta, q(alpha z1), shat) of one draw.
+
+    shat is the shaped precoder input embedded in C^N, so alpha = ||shat|| / ||z1||
+    and eta enforces the power budget on this draw.  Raises DegenerateDrawError
+    when a norm vanishes.
+    """
+    n, k = config.n, config.k
+    s_norm, g1_norm, z1_norm = draw.norms
+    shat = np.zeros(n, dtype=complex)
+    shat[:k] = (s_norm / g1_norm) * np.asarray(shaping(draw.d)) * draw.g1
+    shat_norm = float(np.linalg.norm(shat))
+    alpha = shat_norm / z1_norm
+    if min(s_norm, g1_norm, z1_norm, shat_norm) <= 0 or not np.isfinite(alpha):
+        raise DegenerateDrawError("degenerate draw in the equivalent model")
+    qz = np.asarray(quantize(quant, alpha * draw.z1))
+    qz_norm = float(np.linalg.norm(qz))
+    if qz_norm <= 0:
+        raise DegenerateDrawError("degenerate quantized draw")
+    return alpha, float(np.sqrt(config.power_limit * n) / qz_norm), qz, shat
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """One raw draw evaluated under one (shaping, quantizer)."""
+
+    alpha: float    # input scale
+    eta: float      # power scale
+    qnorm: float    # ||q(alpha z1)||
+    c1: complex     # linear gain
+    c2: float       # distortion rms
+    t_s: complex    # signal gain
+    t_g: float      # interference gain
+
+
+def evaluate(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
+             quant: QuantizerSpec) -> Evaluation:
+    """Equivalent-model gains of one draw; raises DegenerateDrawError on degeneracy."""
+    alpha, eta, qz, shat = scale_pair(draw, config, shaping, quant)
+    d, g1, z1, z2_tail, k = draw.d, draw.g1, draw.z1, draw.z2[1:], config.k
+    s_norm, g1_norm, z1_norm = draw.norms
+    c1 = complex(np.vdot(z1, qz) / (alpha * z1_norm**2))
+    c2 = float(np.linalg.norm(reflect(z1, qz)[1:]) / np.linalg.norm(z2_tail))
+    # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K rows.
+    mixed = complement_embed(shat, z2_tail)[:k]
+    w = c1 * d * shat[:k] + c2 * d * mixed
+    g2_rot = reflect_adjoint(draw.s, draw.g2)      # R(s)^{-1} g2, unitary inverse
+    denom = float(np.linalg.norm(g2_rot[1:]))
+    if denom <= 0:
+        raise DegenerateDrawError("degenerate rotated interference draw")
+    t_g = float(np.linalg.norm(reflect(g1, w)[1:]) / denom)
+    t_s = complex(np.vdot(g1, w) / (g1_norm * s_norm)
+                  - t_g * g2_rot[0] / s_norm)
+    return Evaluation(alpha=alpha, eta=eta, qnorm=float(np.linalg.norm(qz)),
+                      c1=c1, c2=c2, t_s=t_s, t_g=t_g)
+
+
+def _trials(config: SystemConfig, shaping: ShapingFunction, quant: QuantizerSpec,
+            rng: RngStream, trials: int, users: int):
+    """Per trial: draw and evaluate, resampling a degenerate draw, then draw the noise.
+
+    Yields (draw, evaluation, resamples, noise of the first ``users`` users).
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    for _ in range(trials):
+        for attempt in range(_MAX_RESAMPLE + 1):
+            draw = sample_raw_draw(config, rng)
+            try:
+                ev = evaluate(draw, config, shaping, quant)
+                break
+            except DegenerateDrawError as exc:
+                log.warning("%s, resampling", exc)
         else:
-            d = sample_channel(config, rng).d
-        g1 = sample_complex_gaussian(k, 1.0, rng)
-        g2 = sample_complex_gaussian(k, 1.0, rng)
-        z1 = sample_complex_gaussian(n, 1.0, rng)
-        z2 = sample_complex_gaussian(n, 1.0, rng)
-        s = sample_constellation(config.points, k, rng)
-        s_norm = float(np.linalg.norm(s))
-        g1_norm = float(np.linalg.norm(g1))
-        z1_norm = float(np.linalg.norm(z1))
-        fd = np.asarray(shaping(d))
-        shat = np.zeros(n, dtype=complex)
-        shat[:k] = (s_norm / g1_norm) * fd * g1
-        shat_norm = float(np.linalg.norm(shat))
-        alpha = shat_norm / z1_norm
-        if min(s_norm, g1_norm, z1_norm, shat_norm) <= 0 or not np.isfinite(alpha):
-            log.warning("degenerate draw in the equivalent model, resampling")
-            continue
-        qz = np.asarray(quantize(quant, alpha * z1))
-        qz_norm = float(np.linalg.norm(qz))
-        if qz_norm <= 0:
-            log.warning("degenerate quantized draw, resampling")
-            continue
-        c1 = complex(np.vdot(z1, qz) / (alpha * z1_norm**2))
-        z2_tail = z2[1:]
-        c2 = float(np.linalg.norm(reflect(z1, qz)[1:]) / np.linalg.norm(z2_tail))
-        # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K rows.
-        mixed = complement_embed(shat, z2_tail)[:k]
-        w = c1 * d * shat[:k] + c2 * d * mixed
-        g2_rot = reflect_adjoint(s, g2)      # R(s)^{-1} g2, unitary inverse
-        denom = float(np.linalg.norm(g2_rot[1:]))
-        if denom <= 0:
-            log.warning("degenerate rotated interference draw, resampling")
-            continue
-        t_g = float(np.linalg.norm(reflect(g1, w)[1:]) / denom)
-        t_s = complex(np.vdot(g1, w) / (g1_norm * s_norm)
-                      - t_g * g2_rot[0] / s_norm)
-        eta = float(np.sqrt(config.power_limit * n) / qz_norm)
-        return dict(d=d, s=s, g2=g2, t_s=t_s, t_g=t_g, c1=c1, c2=c2,
-                    alpha=alpha, eta=eta, qnorm=qz_norm, attempt=attempt)
-    raise DegenerateDrawError("equivalent-model draw degenerate after retries")
+            raise DegenerateDrawError("equivalent-model draw degenerate after retries")
+        yield draw, ev, attempt, sample_complex_gaussian(users, config.sigma2_noise, rng)
 
 
 def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
-                        quant: QuantizerSpec, rng: RngStream, trials: int,
-                        fast_spectrum: bool = True) -> EquivalentBatch:
+                        quant: QuantizerSpec, rng: RngStream,
+                        trials: int) -> EquivalentBatch:
     """Sample the statistically equivalent model (full received vectors)."""
-    if config.n < 3 or config.k < 3:
-        raise ValueError("equivalence requires N >= 3 and K >= 3")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     k = config.k
     out = dict(signal_gain=np.empty(trials, dtype=complex),
                interference_gain=np.empty(trials),
@@ -388,19 +410,18 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
                y_hat=np.empty((trials, k), dtype=complex),
                s=np.empty((trials, k), dtype=complex))
     resampled = 0
-    for t in range(trials):
-        g = _equivalent_gains(config, shaping, quant, rng, fast_spectrum)
-        resampled += g["attempt"]
-        noise = sample_complex_gaussian(k, config.sigma2_noise, rng)
-        out["signal_gain"][t] = g["t_s"]
-        out["interference_gain"][t] = g["t_g"]
-        out["linear_gain"][t] = g["c1"]
-        out["distortion_rms"][t] = g["c2"]
-        out["input_scale"][t] = g["alpha"]
-        out["power_scale"][t] = g["eta"]
-        out["transmit_power"][t] = g["eta"] ** 2 * g["qnorm"] ** 2 / config.n
-        out["y_hat"][t] = g["eta"] * (g["t_s"] * g["s"] + g["t_g"] * g["g2"]) + noise
-        out["s"][t] = g["s"]
+    for t, (draw, ev, attempt, noise) in enumerate(
+            _trials(config, shaping, quant, rng, trials, users=k)):
+        resampled += attempt
+        out["signal_gain"][t] = ev.t_s
+        out["interference_gain"][t] = ev.t_g
+        out["linear_gain"][t] = ev.c1
+        out["distortion_rms"][t] = ev.c2
+        out["input_scale"][t] = ev.alpha
+        out["power_scale"][t] = ev.eta
+        out["transmit_power"][t] = ev.eta ** 2 * ev.qnorm ** 2 / config.n
+        out["y_hat"][t] = ev.eta * (ev.t_s * draw.s + ev.t_g * draw.g2) + noise
+        out["s"][t] = draw.s
     return EquivalentBatch(resampled=resampled, **out)
 
 
@@ -450,7 +471,6 @@ class CoupledModel:
     shaping: ShapingFunction
     quant: QuantizerSpec
     eta_override: float | None = None
-    user: int = 0
     scalar: ScalarModel = field(init=False)
 
     def __post_init__(self) -> None:
@@ -463,33 +483,31 @@ class CoupledModel:
                                        self.quant, alpha)
         return ts, tg
 
-    def sample(self, rng: RngStream, trials: int,
-               fast_spectrum: bool = True) -> CoupledSamples:
-        k_user = self.user
+    def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
+        """Samples of user 0; every user of a draw has the same law."""
         model = self.scalar
         out = {name: np.empty(trials, dtype=complex)
                for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
         tg_arr = np.empty(trials)
         alpha_arr = np.empty(trials)
         eta_arr = np.empty(trials)
-        for t in range(trials):
-            g = _equivalent_gains(self.config, self.shaping, self.quant, rng,
-                                  fast_spectrum)
-            noise = sample_complex_gaussian(1, self.config.sigma2_noise, rng)[0]
-            s_k = g["s"][k_user]
-            g2_k = g["g2"][k_user]
-            eta_fin = self.eta_override if self.eta_override is not None else g["eta"]
+        for t, (draw, ev, _, noise) in enumerate(
+                _trials(self.config, self.shaping, self.quant, rng, trials, users=1)):
+            noise = noise[0]
+            s_k = draw.s[0]
+            g2_k = draw.g2[0]
+            eta_fin = self.eta_override if self.eta_override is not None else ev.eta
             eta_bar = self.eta_override if self.eta_override is not None else model.power_scale
-            ts_mid, tg_mid = self.finite_scale(g["alpha"])
+            ts_mid, tg_mid = self.finite_scale(ev.alpha)
             out["s"][t] = s_k
-            out["y_hat"][t] = eta_fin * (g["t_s"] * s_k + g["t_g"] * g2_k) + noise
+            out["y_hat"][t] = eta_fin * (ev.t_s * s_k + ev.t_g * g2_k) + noise
             out["y_bar"][t] = eta_bar * (model.signal_gain * s_k
                                          + model.interference_gain * g2_k) + noise
             out["y_mid"][t] = eta_fin * (ts_mid * s_k + tg_mid * g2_k) + noise
-            out["signal_gain"][t] = g["t_s"]
+            out["signal_gain"][t] = ev.t_s
             out["g2_user"][t] = g2_k
-            tg_arr[t] = g["t_g"]
-            alpha_arr[t] = g["alpha"]
+            tg_arr[t] = ev.t_g
+            alpha_arr[t] = ev.alpha
             eta_arr[t] = eta_fin
         return CoupledSamples(s=out["s"], y_hat=out["y_hat"], y_bar=out["y_bar"],
                               y_mid=out["y_mid"], signal_gain=out["signal_gain"],
@@ -498,10 +516,9 @@ class CoupledModel:
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,
-                      quant: QuantizerSpec, eta_override: float | None = None,
-                      user: int = 0) -> CoupledModel:
+                      quant: QuantizerSpec, eta_override: float | None = None) -> CoupledModel:
     """Paired finite/asymptotic samplers fed by identical underlying draws."""
     if eta_override is not None and eta_override <= 0:
         raise ValueError("eta_override must be positive")
     return CoupledModel(config=config, shaping=shaping, quant=quant,
-                        eta_override=eta_override, user=user)
+                        eta_override=eta_override)

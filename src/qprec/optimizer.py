@@ -19,17 +19,20 @@ import numpy as np
 from .bounds import BoundReport, sinr_sensitivity
 from .metrics import UnstableEstimateError, sinr_from_samples
 from .models import (
+    RawDraw,
     ShapingFunction,
     SystemConfig,
     asymptotic_model,
     functional_models,
     mf,
     rzf,
+    sample_raw_draw,
+    scale_pair,
     zf,
 )
-from .quantizer import QuantizerSpec, quantize
-from .spectral import sample_singular_values, theta_interval
-from .stochastic import RngStream, sample_complex_gaussian, sample_constellation
+from .quantizer import QuantizerSpec
+from .spectral import theta_interval
+from .stochastic import RngStream
 
 log = logging.getLogger(__name__)
 
@@ -78,24 +81,6 @@ class FamilyGrid:
                 for f in self.members()}
 
 
-@dataclass(frozen=True)
-class RawDraw:
-    """The sub-draw that determines the finite scale pair for any shaping."""
-
-    s: np.ndarray
-    g1: np.ndarray
-    z1: np.ndarray
-    d: np.ndarray
-
-
-def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
-    return RawDraw(
-        s=sample_constellation(config.points, config.k, rng),
-        g1=sample_complex_gaussian(config.k, 1.0, rng),
-        z1=sample_complex_gaussian(config.n, 1.0, rng),
-        d=sample_singular_values(config.n, config.k, rng))
-
-
 def sigma_asymptotic(shaping: ShapingFunction, config: SystemConfig,
                      quant: QuantizerSpec) -> SigmaPair:
     model = asymptotic_model(config, shaping, quant)
@@ -104,12 +89,7 @@ def sigma_asymptotic(shaping: ShapingFunction, config: SystemConfig,
 
 def sigma_finite(shaping: ShapingFunction, draw: RawDraw, config: SystemConfig,
                  quant: QuantizerSpec) -> SigmaPair:
-    fd = np.asarray(shaping(draw.d))
-    num = float(np.linalg.norm(fd * draw.g1)) * float(np.linalg.norm(draw.s))
-    den = float(np.linalg.norm(draw.g1)) * float(np.linalg.norm(draw.z1))
-    alpha = num / den
-    qnorm = float(np.linalg.norm(np.asarray(quantize(quant, alpha * draw.z1))))
-    eta = math.sqrt(config.n * config.power_limit) / qnorm
+    alpha, eta, _, _ = scale_pair(draw, config, shaping, quant)
     return SigmaPair(eta=eta, alpha=alpha)
 
 
@@ -196,8 +176,7 @@ def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
 
 
 def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
-                 seed: int, trials: int, user: int = 0,
-                 stream_id: int = 0) -> SolveResult:
+                 seed: int, trials: int) -> SolveResult:
     """Maximize the estimated finite-dimensional SINR over the grid.
 
     Common random numbers: every member re-seeds the identical stream, so
@@ -209,9 +188,7 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     best = None
     best_val = -math.inf
     for f in grid.members():
-        rng = RngStream(seed, stream_id)
-        coupled = functional_models(config, f, quant, user=user)
-        samples = coupled.sample(rng, trials)
+        samples = functional_models(config, f, quant).sample(RngStream(seed, 0), trials)
         try:
             est = sinr_from_samples(samples.y_hat, samples.s, config.sigma2_sym)
         except UnstableEstimateError:

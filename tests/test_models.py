@@ -123,9 +123,8 @@ def test_equivalent_gains_properties(one_bit_q, rzf_shaping, small_config):
     assert np.all(batch.distortion_rms >= 0)
     assert np.all(batch.input_scale > 0)
     assert np.all(np.abs(batch.transmit_power - small_config.power_limit) < 1e-10)
-    draws = list(batch.draws())
-    assert len(draws) == 500
-    assert draws[0].y_hat.shape == (small_config.k,)
+    assert batch.y_hat.shape == (500, small_config.k)
+    assert batch.s.shape == (500, small_config.k)
 
 
 def test_gain_concentration_toward_limits(one_bit_q, rzf_shaping):
