@@ -32,7 +32,6 @@ from .stochastic import (
     RngStream,
     complement_embed,
     reflect,
-    reflect_adjoint,
     sample_complex_gaussian,
     sample_constellation,
 )
@@ -363,7 +362,8 @@ def evaluate(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
     # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K rows.
     mixed = complement_embed(shat, z2_tail)[:k]
     w = c1 * d * shat[:k] + c2 * d * mixed
-    g2_rot = reflect_adjoint(draw.s, draw.g2)      # R(s)^{-1} g2, unitary inverse
+    # R(s) g2 = (s^H g2 / ||s||, B(s)^H g2): the split of g2 along s and its complement.
+    g2_rot = reflect(draw.s, draw.g2)
     denom = float(np.linalg.norm(g2_rot[1:]))
     if denom <= 0:
         raise DegenerateDrawError("degenerate rotated interference draw")

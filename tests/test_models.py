@@ -113,6 +113,17 @@ def test_statistical_equivalence_marginal(one_bit_q, rzf_shaping, small_config):
     assert ks < 0.05
 
 
+def test_equivalent_received_power_matches_original(one_bit_q, rzf_shaping):
+    # Rotating g2 by R(s)^H instead of R(s) inflated E|y|^2 by O(1/K): 3.01 vs 2.75 here.
+    cfg = md.SystemConfig.with_gamma(k=4, gamma=4.0)
+    orig = md.simulate_original(cfg, rzf_shaping, one_bit_q, RngStream(1, 0), 5000).y
+    equiv = md.simulate_equivalent(cfg, rzf_shaping, one_bit_q, RngStream(2, 0), 5000).y_hat
+    # per-trial means: the K users of one draw are not independent
+    power = [np.mean(np.abs(y) ** 2, axis=1) for y in (orig, equiv)]
+    se = math.hypot(*(np.std(p, ddof=1) / math.sqrt(p.size) for p in power))
+    assert abs(np.mean(power[0]) - np.mean(power[1])) < 5 * se
+
+
 # -- equivalent model ---------------------------------------------------------------
 
 
