@@ -225,7 +225,7 @@ def gaussian_moments(spec: QuantizerSpec, alpha: float) -> GaussianMoments:
     """Moments of q under CN(0, alpha^2) input.
 
     Separable kinds use the analytic error-function pieces; phase quantizers
-    use polar quadrature (exact sector decomposition, adaptive radial rule).
+    have a closed form that does not depend on alpha.
     """
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -235,27 +235,11 @@ def gaussian_moments(spec: QuantizerSpec, alpha: float) -> GaussianMoments:
         ezq = complex(2.0 * eyq / alpha)
         return GaussianMoments(alpha=alpha, ezq=ezq, eq2=2.0 * eq2_rail)
 
+    # |q| = radius and the phase error is uniform on a sector, independent of
+    # |Z|: E[Z^dag q(aZ)] = radius * E|Z| * E cos(error), E|Z| = sqrt(pi)/2.
     m = spec.phases
-    width = 2.0 * np.pi / m
-    # E[Z^dag q(aZ)] = radius * E[R] * mean over phase of e^{i(theta_m - phi)}.
-    radial, _ = integrate.quad(lambda r: r * 2.0 * r * np.exp(-r * r), 0.0, np.inf,
-                               epsabs=0.0, epsrel=1e-12)
-    ang_re = 0.0
-    ang_im = 0.0
-    for j in range(m):
-        center = width * j
-        re, _ = integrate.quad(lambda p: np.cos(center - p) / (2.0 * np.pi),
-                               center - width / 2.0, center + width / 2.0,
-                               epsabs=1e-14, epsrel=1e-12)
-        im, _ = integrate.quad(lambda p: np.sin(center - p) / (2.0 * np.pi),
-                               center - width / 2.0, center + width / 2.0,
-                               epsabs=1e-14, epsrel=1e-12)
-        ang_re += re
-        ang_im += im
-    ezq = spec.radius * radial * complex(ang_re, ang_im)
-    eq2, _ = integrate.quad(lambda r: spec.radius**2 * 2.0 * r * np.exp(-r * r),
-                            0.0, np.inf, epsabs=0.0, epsrel=1e-12)
-    return GaussianMoments(alpha=alpha, ezq=ezq, eq2=float(eq2))
+    ezq = spec.radius * (_SQRT_PI / 2.0) * (m / np.pi) * np.sin(np.pi / m)
+    return GaussianMoments(alpha=alpha, ezq=complex(ezq), eq2=spec.radius**2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,23 @@ def test_phase_monte_carlo_cross_check():
     assert abs(np.mean(np.abs(q) ** 2) - gm.eq2) < 3e-3
 
 
+@pytest.mark.parametrize("phases", [2, 4, 8, 16])
+def test_phase_closed_form_matches_polar_grid(phases):
+    spec, alpha = qt.phase_ce(phases, 1.5), 0.7
+    gm = qt.gaussian_moments(spec, alpha)
+
+    def expect(part):
+        return qt._gauss_expect_complex(
+            lambda z: part(np.conj(z) * np.asarray(qt.quantize(spec, alpha * z))))
+
+    assert abs(gm.ezq.real - expect(np.real)) < 1e-6
+    # sector boundaries fall on grid nodes, where the tie rule breaks the symmetry
+    assert abs(gm.ezq.imag - expect(np.imag)) < 1e-3
+    assert gm.eq2 == pytest.approx(
+        qt._gauss_expect_complex(lambda z: np.abs(qt.quantize(spec, alpha * z)) ** 2),
+        abs=1e-12)
+
+
 def test_identity_like_limit():
     gm = qt.gaussian_moments(qt.identity_like(), 1.0)
     assert abs(gm.linear_gain - 1.0) < 1e-3
