@@ -472,20 +472,19 @@ def interference_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
         "spectral_block": 17.0 * ns["eps_t3"] / k,
         "norm_block": 20.0 * math.exp(-0.5 * (p.gamma * k - 1.0) * ns["delta_exp"]),
     }
-    with np.errstate(over="ignore"):
-        threshold = max(
-            _envelope_threshold(p, ns["delta1"], squared=False),
-            _envelope_threshold(p, ns["delta5"], squared=True),
-            _envelope_threshold(p, ns["delta8"], squared=False),
-            _envelope_threshold(p, ns["delta6"], squared=False),
-            _envelope_threshold(p, ns["delta16"], squared=True),
-            _envelope_threshold(p, ns["delta19"], squared=False),
-            _envelope_threshold(p, ns["delta23"], squared=True),
-            _envelope_threshold(p, ns["delta26"], squared=False),
-            p.kbar,
-            1.0 / (p.gamma * ns["delta4"]),
-            1.0 / (p.gamma * ns["delta8"]),
-            1.0 / (p.gamma * ns["delta19"]))
+    threshold = max(
+        _envelope_threshold(p, ns["delta1"], squared=False),
+        _envelope_threshold(p, ns["delta5"], squared=True),
+        _envelope_threshold(p, ns["delta8"], squared=False),
+        _envelope_threshold(p, ns["delta6"], squared=False),
+        _envelope_threshold(p, ns["delta16"], squared=True),
+        _envelope_threshold(p, ns["delta19"], squared=False),
+        _envelope_threshold(p, ns["delta23"], squared=True),
+        _envelope_threshold(p, ns["delta26"], squared=False),
+        p.kbar,
+        1.0 / (p.gamma * ns["delta4"]),
+        1.0 / (p.gamma * ns["delta8"]),
+        1.0 / (p.gamma * ns["delta19"]))
     return TailBound(name="interference_gain_tail", eps=eps, k=k,
                      value=sum(terms.values()), threshold=threshold,
                      terms=terms, nodes=ns)
@@ -564,13 +563,12 @@ def signal_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
         "spectral_block": 6.0 * ns["eps_t6"] / k,
         "norm_block": 6.0 * math.exp(-0.5 * (p.gamma * k - 1.0) * ns["delta_exp"]),
     }
-    with np.errstate(over="ignore"):
-        threshold = max(
-            sub.threshold,
-            _envelope_threshold(p, ns["delta30"], squared=False),
-            _envelope_threshold(p, ns["delta34"], squared=True),
-            _envelope_threshold(p, ns["delta37"], squared=False),
-            1.0 / (p.gamma * ns["delta37"]))
+    threshold = max(
+        sub.threshold,
+        _envelope_threshold(p, ns["delta30"], squared=False),
+        _envelope_threshold(p, ns["delta34"], squared=True),
+        _envelope_threshold(p, ns["delta37"], squared=False),
+        1.0 / (p.gamma * ns["delta37"]))
     return TailBound(name="signal_gain_tail", eps=eps, k=k,
                      value=sum(terms.values()), threshold=threshold,
                      terms=terms, nodes=ns)

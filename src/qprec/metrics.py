@@ -119,21 +119,6 @@ def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float,
     return Estimate(value=float(value), std_error=se, trials=y.size)
 
 
-def _user_arrays(draws, user: int) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(draws, "y_hat"):
-        return draws.y_hat[:, user], draws.s[:, user]
-    y = np.asarray([d.y_hat[user] for d in draws], dtype=complex)
-    s = np.asarray([d.s[user] for d in draws], dtype=complex)
-    return y, s
-
-
-def sinr_hat(draws, user: int) -> Estimate:
-    """Finite-model SINR of one user from equivalent-model draws."""
-    y, s = _user_arrays(draws, user)
-    sig2 = float(np.mean(np.abs(s) ** 2))
-    return sinr_from_samples(y, s, sig2)
-
-
 def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig,
                      batches: int = 16) -> Estimate:
     """Finite-model SINR from coupled samples, variance-reduced.
@@ -208,11 +193,6 @@ def sep_from_samples(y: np.ndarray, s: np.ndarray, rule: DecisionRule) -> Estima
     p = float(np.mean(errs))
     se = float(np.sqrt(p * (1.0 - p) / y.size))
     return Estimate(value=p, std_error=se, trials=y.size)
-
-
-def sep_hat(draws, rule: DecisionRule, user: int) -> Estimate:
-    y, s = _user_arrays(draws, user)
-    return sep_from_samples(y, s, rule)
 
 
 def sep_bar(model: ScalarModel, rule: DecisionRule, config: SystemConfig,
