@@ -23,6 +23,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from functools import cached_property
+
 import numpy as np
 
 from .quantizer import QuantizerSpec, gaussian_moments, quantize
@@ -485,34 +486,28 @@ class CoupledModel:
 
     def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
         """Samples of user 0; every user of a draw has the same law."""
-        model = self.scalar
+        model, override = self.scalar, self.eta_override
         out = {name: np.empty(trials, dtype=complex)
                for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
-        tg_arr = np.empty(trials)
-        alpha_arr = np.empty(trials)
-        eta_arr = np.empty(trials)
+        out |= {name: np.empty(trials)
+                for name in ("interference_gain", "input_scale", "power_scale")}
         for t, (draw, ev, _, noise) in enumerate(
                 _trials(self.config, self.shaping, self.quant, rng, trials, users=1)):
-            noise = noise[0]
-            s_k = draw.s[0]
-            g2_k = draw.g2[0]
-            eta_fin = self.eta_override if self.eta_override is not None else ev.eta
-            eta_bar = self.eta_override if self.eta_override is not None else model.power_scale
+            s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
+            eta_fin = ev.eta if override is None else override
+            eta_bar = model.power_scale if override is None else override
             ts_mid, tg_mid = self.finite_scale(ev.alpha)
             out["s"][t] = s_k
-            out["y_hat"][t] = eta_fin * (ev.t_s * s_k + ev.t_g * g2_k) + noise
+            out["y_hat"][t] = eta_fin * (ev.t_s * s_k + ev.t_g * g2_k) + n_k
             out["y_bar"][t] = eta_bar * (model.signal_gain * s_k
-                                         + model.interference_gain * g2_k) + noise
-            out["y_mid"][t] = eta_fin * (ts_mid * s_k + tg_mid * g2_k) + noise
+                                         + model.interference_gain * g2_k) + n_k
+            out["y_mid"][t] = eta_fin * (ts_mid * s_k + tg_mid * g2_k) + n_k
             out["signal_gain"][t] = ev.t_s
             out["g2_user"][t] = g2_k
-            tg_arr[t] = ev.t_g
-            alpha_arr[t] = ev.alpha
-            eta_arr[t] = eta_fin
-        return CoupledSamples(s=out["s"], y_hat=out["y_hat"], y_bar=out["y_bar"],
-                              y_mid=out["y_mid"], signal_gain=out["signal_gain"],
-                              interference_gain=tg_arr, g2_user=out["g2_user"],
-                              input_scale=alpha_arr, power_scale=eta_arr)
+            out["interference_gain"][t] = ev.t_g
+            out["input_scale"][t] = ev.alpha
+            out["power_scale"][t] = eta_fin
+        return CoupledSamples(**out)
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,
