@@ -114,7 +114,8 @@ def test_statistical_equivalence_marginal(one_bit_q, rzf_shaping, small_config):
 
 
 def test_equivalent_received_power_matches_original(one_bit_q, rzf_shaping):
-    # Rotating g2 by R(s)^H instead of R(s) inflated E|y|^2 by O(1/K): 3.01 vs 2.75 here.
+    # g2 must be rotated by R(s), not R(s)^H; the wrong one inflates E|y|^2 by O(1/K),
+    # to 3.01 against the original model's 2.75 here.
     cfg = md.SystemConfig.with_gamma(k=4, gamma=4.0)
     orig = md.simulate_original(cfg, rzf_shaping, one_bit_q, RngStream(1, 0), 5000).y
     equiv = md.simulate_equivalent(cfg, rzf_shaping, one_bit_q, RngStream(2, 0), 5000).y_hat
