@@ -58,7 +58,6 @@ def main() -> int:
     parser.add_argument("--out", default="qprec-out", help="output directory root")
     parser.add_argument("--suite", choices=sorted(SUITE_ARGS), default=None,
                         help="run a single suite instead of all")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     names = [args.suite] if args.suite else sorted(SUITE_ARGS)
@@ -71,7 +70,7 @@ def main() -> int:
             fh.write(text)
             cfg_path = fh.name
         print(f"=== {name} -> {out_dir}")
-        rc = cli.run(cfg_path, threads=args.threads)
+        rc = cli.run(cfg_path)
         worst = max(worst, rc)
     return worst
 

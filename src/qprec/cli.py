@@ -3,8 +3,9 @@
 Suites cover the spectrum check, the finite/equivalent distributional match,
 SINR/SEP convergence ladders, the Ky Fan rate fit, the bound audit battery,
 the shaping-function optimization ladder, and the tail-cascade audit.  Runs
-are deterministic for a fixed config file: each (seed, K) cell owns the
-stream keyed by that pair, and records are written in sorted order.
+are deterministic for a fixed config file: cells run serially, every stream
+is named by (seed, purpose, K, rep) through :func:`_stream`, and records are
+written in sorted order.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from . import models as mdl
 from . import optimizer as opt
 from . import quantizer as qnt
 from . import spectral as spc
-from .stochastic import RngStream
+from .stochastic import RngStream, sample_complex_gaussian
 
 SCHEMA = "qprec-results v1"
 CSV_COLUMNS = ["experiment", "seed", "k", "metric", "value", "std_error",
@@ -189,34 +188,37 @@ class Record:
                 repr(float(self.bound)), self.holds, f"{self.wall_time:.3f}"]
 
 
-def _worker_count(cli_threads: int | None) -> int:
-    env = os.environ.get("QPREC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"QPREC_THREADS must be an integer: {env!r}") from exc
-    return max(1, cli_threads or 1)
+_PURPOSES = ("channel", "original", "equivalent", "coupled", "sep_bar", "lss",
+             "form_tail", "collar", "feasibility")
+_FIELD_BITS = 20
 
 
-def _run_cells(cfg: ExperimentConfig, cell_fn, threads: int) -> list[Record]:
-    """Fan (seed, K) cells across a pool; deterministic collection order."""
-    cells = [(seed, k) for seed in cfg.seeds for k in cfg.k_ladder]
+def _stream(seed: int, purpose: str, k: int, rep: int = 0) -> RngStream:
+    """The one stream of (seed, purpose, K, rep).
 
-    def timed(cell):
-        t0 = time.perf_counter()
-        recs = cell_fn(*cell)
-        dt = time.perf_counter() - t0
-        for r in recs:
-            r.wall_time = dt
-        return recs
+    The id packs (purpose index + 1, K, rep) into disjoint bit fields, so no
+    two names share an id, and every id is >= 2**40, clear of the library's
+    own streams 0 and 1 under the same seed.
+    """
+    if not (0 <= k < 2**_FIELD_BITS and 0 <= rep < 2**_FIELD_BITS):
+        raise ConfigError(f"stream field out of range: K={k}, rep={rep} "
+                          f"(each must be below 2**{_FIELD_BITS})")
+    index = _PURPOSES.index(purpose) + 1
+    return RngStream(seed, index << (2 * _FIELD_BITS) | k << _FIELD_BITS | rep)
 
-    if threads == 1:
-        groups = [timed(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(timed, cells))
-    return [r for g in groups for r in g]
+
+def _run_cells(cfg: ExperimentConfig, cell_fn) -> list[Record]:
+    """Run the (seed, K) cells in order, stamping each record with its cell's time."""
+    records = []
+    for seed in cfg.seeds:
+        for k in cfg.k_ladder:
+            t0 = time.perf_counter()
+            recs = cell_fn(seed, k)
+            dt = time.perf_counter() - t0
+            for r in recs:
+                r.wall_time = dt
+            records += recs
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +227,14 @@ def _run_cells(cfg: ExperimentConfig, cell_fn, threads: int) -> list[Record]:
 
 
 @suite("mp-check")
-def _suite_mp_check(cfg: ExperimentConfig, threads: int):
+def _suite_mp_check(cfg: ExperimentConfig):
     slack = 0.05
     lo = 1.0 - 1.0 / math.sqrt(cfg.gamma) - slack
     hi = 1.0 + 1.0 / math.sqrt(cfg.gamma) + slack
 
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
-        rng = RngStream(seed, k)
-        draw = spc.sample_channel(system, rng)
+        draw = spc.sample_channel(system, _stream(seed, "channel", k))
         law = system.law
         xs = np.sort(draw.d)
         cdf = np.array([spc.mp_cdf_sv(x, law) for x in xs])
@@ -246,34 +247,34 @@ def _suite_mp_check(cfg: ExperimentConfig, threads: int):
             Record(cfg.name, seed, k, "ks_to_limit", ks),
         ]
 
-    records = _run_cells(cfg, cell, threads)
+    records = _run_cells(cfg, cell)
     contained = all(r.holds == "True" for r in records if r.metric in ("sv_min", "sv_max"))
     return records, {"edge_containment": contained}
 
 
 @suite("equivalence")
-def _suite_equivalence(cfg: ExperimentConfig, threads: int):
+def _suite_equivalence(cfg: ExperimentConfig):
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
         orig = mdl.simulate_original(system, cfg.shaping, cfg.quantizer,
-                                     RngStream(seed, k), cfg.trials)
+                                     _stream(seed, "original", k), cfg.trials)
         equiv = mdl.simulate_equivalent(system, cfg.shaping, cfg.quantizer,
-                                        RngStream(seed, k + 1_000_003), cfg.trials)
+                                        _stream(seed, "equivalent", k), cfg.trials)
         ks = stats.ks_2samp(orig.y[:, 0].real, equiv.y_hat[:, 0].real).statistic
         return [Record(cfg.name, seed, k, "ks_real_part", float(ks),
                        bound=0.03, holds=str(ks < 0.03))]
 
-    records = _run_cells(cfg, cell, threads)
+    records = _run_cells(cfg, cell)
     return records, {"distribution_match": all(r.holds == "True" for r in records)}
 
 
 @suite("converge-sinr")
-def _suite_converge_sinr(cfg: ExperimentConfig, threads: int):
+def _suite_converge_sinr(cfg: ExperimentConfig):
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
         coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
         limit = met.sinr_bar(system, cfg.shaping, cfg.quantizer, model=coupled.scalar)
-        samples = coupled.sample(RngStream(seed, k), cfg.trials)
+        samples = coupled.sample(_stream(seed, "coupled", k), cfg.trials)
         est = met.sinr_hat_coupled(samples, coupled.scalar, system)
         gap = abs(est.value - limit)
         return [
@@ -283,7 +284,7 @@ def _suite_converge_sinr(cfg: ExperimentConfig, threads: int):
             Record(cfg.name, seed, k, "sinr_rel_gap", gap / limit),
         ]
 
-    records = _run_cells(cfg, cell, threads)
+    records = _run_cells(cfg, cell)
     means = _ladder_means(records, "sinr_gap", cfg)
     rel = _ladder_means(records, "sinr_rel_gap", cfg)
     decreasing = all(a > b for a, b in zip(means, means[1:]))
@@ -291,15 +292,15 @@ def _suite_converge_sinr(cfg: ExperimentConfig, threads: int):
 
 
 @suite("converge-sep")
-def _suite_converge_sep(cfg: ExperimentConfig, threads: int):
+def _suite_converge_sep(cfg: ExperimentConfig):
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
-        model = mdl.asymptotic_model(system, cfg.shaping, cfg.quantizer)
-        rule = met.default_rule(model, system)
         coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
-        samples = coupled.sample(RngStream(seed, k), cfg.trials)
+        model = coupled.scalar
+        rule = met.default_rule(model, system)
+        samples = coupled.sample(_stream(seed, "coupled", k), cfg.trials)
         hat = met.sep_from_samples(samples.y_hat, samples.s, rule)
-        bar = met.sep_bar(model, rule, system, RngStream(seed, k + 7_000_003),
+        bar = met.sep_bar(model, rule, system, _stream(seed, "sep_bar", k),
                           max(cfg.trials, 100_000))
         gap = abs(hat.value - bar.value)
         return [
@@ -308,18 +309,18 @@ def _suite_converge_sep(cfg: ExperimentConfig, threads: int):
             Record(cfg.name, seed, k, "sep_gap", gap),
         ]
 
-    records = _run_cells(cfg, cell, threads)
+    records = _run_cells(cfg, cell)
     means = _ladder_means(records, "sep_gap", cfg)
     return records, {"final_gap_below_1e-2": means[-1] < 0.01}
 
 
 @suite("kyfan-rate")
-def _suite_kyfan_rate(cfg: ExperimentConfig, threads: int):
+def _suite_kyfan_rate(cfg: ExperimentConfig):
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
-        model = mdl.asymptotic_model(system, cfg.shaping, cfg.quantizer)
         coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
-        samples = coupled.sample(RngStream(seed, k), cfg.trials)
+        model = coupled.scalar
+        samples = coupled.sample(_stream(seed, "coupled", k), cfg.trials)
         d_sig = met.ky_fan_distance(samples.signal_gain,
                                     np.full(len(samples.s), model.signal_gain))
         d_int = met.ky_fan_distance(samples.interference_gain * samples.g2_user,
@@ -329,7 +330,7 @@ def _suite_kyfan_rate(cfg: ExperimentConfig, threads: int):
             Record(cfg.name, seed, k, "kf_interference", d_int),
         ]
 
-    records = _run_cells(cfg, cell, threads)
+    records = _run_cells(cfg, cell)
     means = _ladder_means(records, "kf_signal_gain", cfg)
     slope = _loglog_slope(cfg.k_ladder, means)
     decreasing = all(a > b for a, b in zip(means, means[1:]))
@@ -337,12 +338,13 @@ def _suite_kyfan_rate(cfg: ExperimentConfig, threads: int):
 
 
 @suite("bounds-audit")
-def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
+def _suite_bounds_audit(cfg: ExperimentConfig):
     records: list[Record] = []
     checks: dict[str, bool] = {}
     k_big = cfg.k_ladder[-1]
     system = cfg.system(k_big)
-    model = mdl.asymptotic_model(system, cfg.shaping, cfg.quantizer)
+    coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
+    model = coupled.scalar
 
     # Quantizer moment identity for the sign quantizer, with an MC cross-check.
     gm = qnt.gaussian_moments(qnt.one_bit(1.0 / math.sqrt(2.0)), model.input_scale)
@@ -371,7 +373,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
         vals = []
         for rep in range(200):
             d = spc.sample_singular_values(int(round(cfg.gamma * k)), k,
-                                           RngStream(cfg.seeds[0], 10_000 + 200 * k + rep))
+                                           _stream(cfg.seeds[0], "lss", k, rep))
             vals.append(spc.lss_statistic(d, lambda x: x * x))
         var = float(np.var(vals, ddof=1))
         bound = spc.lss_variance_bound(m1, k)
@@ -380,20 +382,21 @@ def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
     checks["lss_variance"] = all(r.holds == "True" for r in records
                                  if r.metric == "lss_variance")
 
-    # Quadratic/cross form empirical tails against the explicit bounds.
-    from .stochastic import sample_complex_gaussian
-
+    # Quadratic/cross form empirical tails against the explicit bounds; one
+    # draw of (d, g1, g2) per rep serves every eps.
     m1_stat = float(np.max(np.linspace(*spc.theta_interval(cfg.gamma), 101) ** 2))
     reps = 300
+    quad_dev, cross_dev = np.empty(reps), np.empty(reps)
+    for r in range(reps):
+        rng = _stream(cfg.seeds[0], "form_tail", k_big, r)
+        d = spc.sample_singular_values(int(round(cfg.gamma * k_big)), k_big, rng)
+        g1 = sample_complex_gaussian(k_big, 1.0, rng)
+        g2 = sample_complex_gaussian(k_big, 1.0, rng)
+        quad_dev[r] = abs(np.real(np.vdot(g1, d * d * g1)) / k_big - 1.0)
+        cross_dev[r] = abs(np.vdot(g1, d * d * g2)) / k_big
     for eps in (0.2, 0.4):
-        exceed = cross = 0
-        for r in range(reps):
-            rng = RngStream(cfg.seeds[0], 40_000 + r)
-            d = spc.sample_singular_values(int(round(cfg.gamma * k_big)), k_big, rng)
-            g1 = sample_complex_gaussian(k_big, 1.0, rng)
-            g2 = sample_complex_gaussian(k_big, 1.0, rng)
-            exceed += abs(np.real(np.vdot(g1, d * d * g1)) / k_big - 1.0) >= eps
-            cross += abs(np.vdot(g1, d * d * g2)) / k_big >= eps
+        exceed = int(np.sum(quad_dev >= eps))
+        cross = int(np.sum(cross_dev >= eps))
         qb = bnd.quad_form_bound(eps, k_big, m1_stat)
         cb = bnd.cross_form_bound(eps, k_big, m1_stat)
         records.append(Record(cfg.name, cfg.seeds[0], k_big, f"quad_tail_{eps}",
@@ -404,7 +407,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
                                if r.metric.startswith(("quad_tail", "cross_tail")))
 
     # Boundary-collar mass of a complex Gaussian against the Lipschitz bound.
-    y = sample_complex_gaussian(200_000, 1.0, RngStream(cfg.seeds[0], 50_000))
+    y = sample_complex_gaussian(200_000, 1.0, _stream(cfg.seeds[0], "collar", k_big))
     eps = 0.05
     mass = float(np.mean((np.abs(y) > 1.0) & (np.abs(y) <= 1.0 + eps)))
     collar = bnd.gaussian_boundary_bound(1.0, eps)
@@ -419,8 +422,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
     lk = bnd.sinr_sensitivity(system, model)
     lm = bnd.sep_sensitivity(system, model, rule.beta)
     for seed in cfg.seeds:
-        coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
-        samples = coupled.sample(RngStream(seed, k_big), cfg.trials)
+        samples = coupled.sample(_stream(seed, "coupled", k_big), cfg.trials)
         est = met.sinr_hat_coupled(samples, model, system)
         dev = met.l2_deviation(samples.y_hat, samples.y_bar)
         gap = abs(est.value - limit)
@@ -429,7 +431,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig, threads: int):
         records.append(Record(cfg.name, seed, k_big, "sinr_gap_vs_bound", gap,
                               bound=lk * dev.value, holds=str(ok)))
         hat = met.sep_from_samples(samples.y_hat, samples.s, rule)
-        bar = met.sep_bar(model, rule, system, RngStream(seed, k_big + 13), 100_000)
+        bar = met.sep_bar(model, rule, system, _stream(seed, "sep_bar", k_big), 100_000)
         d_sig = met.ky_fan_distance(samples.signal_gain,
                                     np.full(len(samples.s), model.signal_gain))
         d_int = met.ky_fan_distance(samples.interference_gain * samples.g2_user,
@@ -460,7 +462,7 @@ def _write_profile_csv(path: Path, asym, fin) -> None:
 
 
 @suite("optimize")
-def _suite_optimize(cfg: ExperimentConfig, threads: int):
+def _suite_optimize(cfg: ExperimentConfig):
     records: list[Record] = []
     checks: dict[str, bool] = {}
     gaps = []
@@ -480,7 +482,8 @@ def _suite_optimize(cfg: ExperimentConfig, threads: int):
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
         _write_profile_csv(cfg.output_dir / f"profile_k{k}.csv", asym, fin)
         fdev = opt.feasibility_deviation(system, cfg.quantizer, cfg.grid,
-                                         RngStream(cfg.seeds[0], k), max(50, cfg.trials // 10))
+                                         _stream(cfg.seeds[0], "feasibility", k),
+                                         max(50, cfg.trials // 10))
         records.append(Record(cfg.name, cfg.seeds[0], k, "feasibility_deviation", fdev))
         records.append(Record(cfg.name, cfg.seeds[0], k, "asymptotic_value", asym.value))
         gaps.append(float(np.mean([r.empirical for r in per_seed])) / asym.value)
@@ -496,7 +499,7 @@ def _suite_optimize(cfg: ExperimentConfig, threads: int):
 
 
 @suite("tail-audit")
-def _suite_tail_audit(cfg: ExperimentConfig, threads: int):
+def _suite_tail_audit(cfg: ExperimentConfig):
     records: list[Record] = []
     system = cfg.system(cfg.k_ladder[-1])
     params = bnd.cascade_params(system, cfg.shaping, cfg.quantizer)
@@ -542,14 +545,13 @@ def _loglog_slope(ks, values) -> float:
 # ---------------------------------------------------------------------------
 
 
-def run(config_path: str | Path, threads: int | None = None) -> int:
+def run(config_path: str | Path) -> int:
     try:
         cfg = parse_config(config_path)
-        workers = _worker_count(threads)
+        records, checks = SUITES[cfg.name](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    records, checks = SUITES[cfg.name](cfg, workers)
     records.sort(key=lambda r: (r.experiment, r.seed, r.k, r.metric))
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = cfg.output_dir / "results.csv"
@@ -636,8 +638,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a named experiment suite")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker pool size (QPREC_THREADS overrides)")
     p_plot = sub.add_parser("plot", help="emit plot-ready data from a results CSV")
     p_plot.add_argument("csv")
     p_plot.add_argument("--metric", required=True)
@@ -652,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
             print(name)
         return 0
     if args.command == "run":
-        return run(args.config, threads=args.threads)
+        return run(args.config)
     if args.command == "plot":
         try:
             out = emit_plotdata(args.csv, args.metric, loglog=args.loglog,

@@ -78,6 +78,33 @@ def _fsum_mean(x: np.ndarray) -> float:
     return math.fsum(x) / x.size
 
 
+def _sinr_ratio(rho: complex, m2: float, sigma2_sym: float) -> float:
+    """Plug-in SINR from the correlation coefficient and second moment."""
+    signal = abs(rho) ** 2 * sigma2_sym
+    denom = m2 - signal
+    # below the plug-in's own rounding noise the ratio is meaningless
+    if denom <= 1e-12 * m2:
+        raise UnstableEstimateError(
+            "interference-plus-noise estimate is nonpositive",
+            moments={"rho": rho, "m2": m2, "signal_power": signal})
+    return signal / denom
+
+
+def _batch_means(plugin, n: int, batches: int) -> Estimate:
+    """plugin(slice) over all n samples, with a batch-means standard error."""
+    value = plugin(slice(None))
+    b = max(2, min(batches, n // 8))
+    edges = np.linspace(0, n, b + 1, dtype=int)
+    vals = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        try:
+            vals.append(plugin(slice(lo, hi)))
+        except UnstableEstimateError:
+            continue
+    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) >= 2 else float("nan")
+    return Estimate(value=float(value), std_error=se, trials=n)
+
+
 def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float,
                       batches: int = 16) -> Estimate:
     """Plug-in SINR estimate from per-user samples (y_k, s_k).
@@ -90,33 +117,12 @@ def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float,
     if y.size != s.size or y.size < 2:
         raise ValueError("need at least two paired samples")
 
-    def plugin(yb: np.ndarray, sb: np.ndarray) -> float:
-        cross = np.conj(sb) * yb
+    def plugin(sl: slice) -> float:
+        cross = np.conj(s[sl]) * y[sl]
         rho = complex(_fsum_mean(cross.real), _fsum_mean(cross.imag)) / sigma2_sym
-        m2 = _fsum_mean(np.abs(yb) ** 2)
-        signal = abs(rho) ** 2 * sigma2_sym
-        denom = m2 - signal
-        # below the plug-in's own rounding noise the ratio is meaningless
-        if denom <= 1e-12 * m2:
-            raise UnstableEstimateError(
-                "interference-plus-noise estimate is nonpositive",
-                moments={"rho": rho, "m2": m2, "signal_power": signal})
-        return signal / denom
+        return _sinr_ratio(rho, _fsum_mean(np.abs(y[sl]) ** 2), sigma2_sym)
 
-    value = plugin(y, s)
-    b = max(2, min(batches, y.size // 8))
-    edges = np.linspace(0, y.size, b + 1, dtype=int)
-    vals = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        try:
-            vals.append(plugin(y[lo:hi], s[lo:hi]))
-        except UnstableEstimateError:
-            continue
-    if len(vals) >= 2:
-        se = float(np.std(vals, ddof=1) / np.sqrt(len(vals)))
-    else:
-        se = float("nan")
-    return Estimate(value=float(value), std_error=se, trials=y.size)
+    return _batch_means(plugin, y.size, batches)
 
 
 def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig,
@@ -143,25 +149,9 @@ def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig,
         rho = rho_limit + complex(_fsum_mean(cross.real),
                                   _fsum_mean(cross.imag)) / sig2
         m2 = m2_limit + _fsum_mean(np.abs(y_hat[sl]) ** 2 - np.abs(y_bar[sl]) ** 2)
-        signal = abs(rho) ** 2 * sig2
-        denom = m2 - signal
-        if denom <= 1e-12 * m2:
-            raise UnstableEstimateError(
-                "interference-plus-noise estimate is nonpositive",
-                moments={"rho": rho, "m2": m2, "signal_power": signal})
-        return signal / denom
+        return _sinr_ratio(rho, m2, sig2)
 
-    value = plugin(slice(None))
-    b = max(2, min(batches, n // 8))
-    edges = np.linspace(0, n, b + 1, dtype=int)
-    vals = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        try:
-            vals.append(plugin(slice(lo, hi)))
-        except UnstableEstimateError:
-            continue
-    se = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) >= 2 else float("nan")
-    return Estimate(value=float(value), std_error=se, trials=n)
+    return _batch_means(plugin, n, batches)
 
 
 def sinr_bar(config: SystemConfig, shaping, quant: QuantizerSpec,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundReport, sinr_sensitivity
-from .metrics import UnstableEstimateError, sinr_from_samples
+from .metrics import UnstableEstimateError, sinr_bar, sinr_from_samples
 from .models import (
     RawDraw,
     ShapingFunction,
@@ -113,13 +113,6 @@ class SolveResult:
     profile: list[ProfilePoint] = field(default_factory=list)
 
 
-def _sinr_bar_value(config: SystemConfig, quant: QuantizerSpec,
-                    shaping: ShapingFunction) -> float:
-    from .metrics import sinr_bar
-
-    return sinr_bar(config, shaping, quant)
-
-
 def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
     """Golden-section maximization of a unimodal function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -147,7 +140,7 @@ def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
     profile = []
     values = []
     for f in members:
-        v = _sinr_bar_value(config, quant, f)
+        v = sinr_bar(config, f, quant)
         values.append(v)
         profile.append(ProfilePoint(label=f.label,
                                     rho=f.rho if f.family == "rzf" else float("nan"),
@@ -165,7 +158,7 @@ def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
         # Interior maximum: golden-section on log(rho) over the bracket,
         # run as two successive refinement rounds.
         lo, hi = math.log(rhos[j - 1]), math.log(rhos[j + 1])
-        fn = lambda t: _sinr_bar_value(config, quant, rzf(math.exp(t)))
+        fn = lambda t: sinr_bar(config, rzf(math.exp(t)), quant)
         for _ in range(2):
             t_star, v_star = _golden_max(fn, lo, hi, iters=24)
             width = (hi - lo) * ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
@@ -285,7 +278,7 @@ def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     asym = solve_asymptotic(config, quant, grid)
     members = grid.members() + [asym.best]  # argmax itself: dist 0, gap 0
     dists = np.array([_member_distance(f, asym.best, config, quant) for f in members])
-    gaps = np.array([asym.value - _sinr_bar_value(config, quant, f) for f in members])
+    gaps = np.array([asym.value - sinr_bar(config, f, quant) for f in members])
     if tau_grid is None:
         tau_grid = np.concatenate([[0.0], np.sort(dists[dists > 0])])
     psi_vals = []

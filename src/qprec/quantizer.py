@@ -354,11 +354,14 @@ def _gauss_expect_complex(fn, cutoff: float = 6.0, n_radial: int = 400,
     fn must be vectorized over complex arrays.  The angular trapezoid rule
     is second order through the (known, kink-only) sector boundaries, which
     is ample against the first-order bounds these values get compared to.
+    The angular nodes sit half a step off the axes, so none falls on a
+    phase_ce sector boundary (where the tie rule would pick a side) and the
+    grid is symmetric under conjugation.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_radial)
     r = 0.5 * cutoff * (nodes + 1.0)
     wr = 0.5 * cutoff * weights * 2.0 * r * np.exp(-r * r)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_angle, endpoint=False)
+    phi = (np.arange(n_angle) + 0.5) * (2.0 * np.pi / n_angle)
     grid = r[:, None] * np.exp(1j * phi[None, :])
     vals = np.asarray(fn(grid), dtype=float)
     return float(np.sum(wr * vals.mean(axis=1)))

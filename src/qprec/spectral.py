@@ -76,12 +76,6 @@ def mp_density(x: np.ndarray | float, law: MpLaw) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def mp_density_sv(x: np.ndarray | float, law: MpLaw) -> np.ndarray | float:
-    """Density of the singular value d = sqrt(lambda)."""
-    x = np.asarray(x, dtype=float)
-    return 2.0 * x * mp_density(x * x, law)
-
-
 def mp_moment(fn: Callable[[np.ndarray], np.ndarray], law: MpLaw) -> float:
     """E[fn(d)] for d distributed with the limiting singular-value law.
 
@@ -106,15 +100,24 @@ def mp_moment(fn: Callable[[np.ndarray], np.ndarray], law: MpLaw) -> float:
 
 
 def mp_cdf_sv(x: float, law: MpLaw) -> float:
-    """CDF of the limiting singular-value law at x."""
+    """CDF of the limiting singular-value law at x, in closed form.
+
+    With t = x^2 and R = sqrt((t - a)(b - t)), the squared-singular-value
+    CDF is 1/2 + [R + (1 + c) atan2(t - 1 - c, R)
+    - (1 - c) atan2((1 + c) t - (1 - c)^2, (1 - c) R)] / (2 pi c).
+    """
     lo, hi = law.sv_edges
     if x <= lo:
         return 0.0
     if x >= hi:
         return 1.0
-    val, _ = integrate.quad(lambda t: mp_density_sv(t, law), lo, x,
-                            epsabs=1e-12, epsrel=1e-10, limit=200)
-    return min(1.0, max(0.0, val))
+    a, b = law.lambda_edges
+    c, t = law.c, x * x
+    root = np.sqrt(max(0.0, (t - a) * (b - t)))
+    val = 0.5 + (root + (1.0 + c) * np.arctan2(t - 1.0 - c, root)
+                 - (1.0 - c) * np.arctan2((1.0 + c) * t - (1.0 - c) ** 2,
+                                          (1.0 - c) * root)) / (2.0 * np.pi * c)
+    return float(min(1.0, max(0.0, val)))
 
 
 # ---------------------------------------------------------------------------

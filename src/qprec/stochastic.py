@@ -3,7 +3,7 @@
 Everything downstream consumes randomness through :class:`RngStream`, which
 maps a ``(seed, stream_id)`` pair to an independent counter-based generator.
 One stream is owned by exactly one Monte-Carlo trial (or one (seed, K) cell),
-so trials can be farmed out to workers and replayed deterministically.
+so every trial can be replayed deterministically.
 """
 
 from __future__ import annotations
@@ -21,9 +21,12 @@ class DegenerateDrawError(RuntimeError):
 class RngStream:
     """Deterministic random stream keyed by ``(seed, stream_id)``.
 
-    Identical keys reproduce identical draws; distinct ``stream_id`` values
-    give statistically independent streams (Philox keyed through a seed
-    sequence, so streams never overlap).
+    Identical keys reproduce identical draws; distinct keys give
+    statistically independent streams (Philox keyed through a seed sequence,
+    so streams never overlap).  The seed is taken modulo 2**64 and
+    ``0 <= stream_id < 2**64``.  Seeds below 2**32 enter as the words
+    (seed, stream_id), at most 3; larger seeds take stream_id as spawn key,
+    at least 5 words, so zero padding never makes two keys meet.
     """
 
     seed: int
@@ -31,14 +34,14 @@ class RngStream:
     generator: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
-        ss = np.random.SeedSequence((int(self.seed) & 0xFFFFFFFFFFFFFFFF, int(self.stream_id)))
+        seed, stream_id = int(self.seed) & 0xFFFFFFFFFFFFFFFF, int(self.stream_id)
+        if not 0 <= stream_id < 2**64:
+            raise ValueError("stream_id must lie in [0, 2**64)")
+        if seed < 2**32:
+            ss = np.random.SeedSequence((seed, stream_id))
+        else:
+            ss = np.random.SeedSequence(seed, spawn_key=(stream_id,))
         self.generator = np.random.Generator(np.random.Philox(ss))
-
-    def child(self, stream_id: int) -> "RngStream":
-        """Stream for a sub-task, keyed off the same seed."""
-        return RngStream(self.seed, stream_id)
 
 
 def sample_complex_gaussian(n: int, variance: float, rng: RngStream) -> np.ndarray:

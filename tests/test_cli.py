@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qprec import cli
 
 
@@ -85,12 +87,30 @@ def test_run_is_deterministic_modulo_wall_time(tmp_path):
     assert first == second
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QPREC_THREADS", "2")
-    path = _write_config(tmp_path, "mp-check", k_ladder="16 32", seeds="1")
-    assert cli.main(["run", str(path)]) == 0
-    monkeypatch.setenv("QPREC_THREADS", "zebra")
-    assert cli.main(["run", str(path)]) == 2
+def test_no_stream_is_opened_twice_in_a_run(tmp_path, monkeypatch):
+    keys = []
+
+    class RecordingStream(cli.RngStream):
+        def __post_init__(self):
+            keys.append((self.seed, self.stream_id))
+            super().__post_init__()
+
+    monkeypatch.setattr(cli, "RngStream", RecordingStream)
+    # bounds-audit at K = 150 and 200 is where additive ids such as
+    # 10_000 + 200 K + rep land on the form-tail and collar streams; the
+    # small grid keeps optimize cheap.
+    ladders = {"mp-check": "16 32", "equivalence": "8 16", "converge-sinr": "16 32",
+               "converge-sep": "16 32", "kyfan-rate": "16 32", "bounds-audit": "150 200",
+               "optimize": "8 16"}
+    for name, ladder in ladders.items():
+        keys.clear()
+        path = _write_config(tmp_path, name, k_ladder=ladder, seeds="1 2", trials=40,
+                             body="[grid]\npoints = 2")
+        assert cli.main(["run", str(path)]) in (0, 1)
+        assert keys, name
+        assert len(keys) == len(set(keys)), name
+    with pytest.raises(cli.ConfigError):
+        cli._stream(1, "coupled", 2**20)
 
 
 def test_converge_sinr_small_ladder(tmp_path):

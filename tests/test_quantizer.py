@@ -109,8 +109,7 @@ def test_phase_closed_form_matches_polar_grid(phases):
             lambda z: part(np.conj(z) * np.asarray(qt.quantize(spec, alpha * z))))
 
     assert abs(gm.ezq.real - expect(np.real)) < 1e-6
-    # sector boundaries fall on grid nodes, where the tie rule breaks the symmetry
-    assert abs(gm.ezq.imag - expect(np.imag)) < 1e-3
+    assert abs(gm.ezq.imag - expect(np.imag)) < 1e-12
     assert gm.eq2 == pytest.approx(
         qt._gauss_expect_complex(lambda z: np.abs(qt.quantize(spec, alpha * z)) ** 2),
         abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from qprec import spectral as sp
 from qprec.models import SystemConfig, mf
@@ -67,6 +67,27 @@ def test_cdf_endpoints_and_midpoint():
     assert sp.mp_cdf_sv(hi + 0.1, LAW4) == 1.0
     mid = sp.mp_cdf_sv(1.0, LAW4)
     assert 0.4 < mid < 0.7
+
+
+@pytest.mark.parametrize("gamma", [1.2, 2.0, 4.0, 10.0])
+def test_cdf_closed_form_matches_quadrature(gamma):
+    # Reference: the density integrated after lambda = m + r sin(theta), which
+    # removes the square-root edge singularities.
+    law = sp.MpLaw(gamma)
+    (a, b), (lo, hi) = law.lambda_edges, law.sv_edges
+    m, r = 0.5 * (a + b), 0.5 * (b - a)
+
+    def reference(x):
+        theta = np.arcsin(np.clip((x * x - m) / r, -1.0, 1.0))
+        val, _ = integrate.quad(
+            lambda q: (r * np.cos(q)) ** 2 / (2 * np.pi * law.c * (m + r * np.sin(q))),
+            -np.pi / 2, theta, epsabs=1e-15, epsrel=1e-13, limit=500)
+        return val
+
+    to_edge = np.logspace(-12, -2, 11)
+    xs = np.concatenate([np.linspace(lo, hi, 41)[1:-1], lo + to_edge, hi - to_edge])
+    for x in xs:
+        assert abs(sp.mp_cdf_sv(x, law) - reference(x)) < 1e-12
 
 
 def test_theta_interval_contains_bulk():

@@ -40,9 +40,17 @@ def test_reproducibility_bit_identical():
 
 
 def test_distinct_streams_differ():
-    a = sto.sample_complex_gaussian(64, 1.0, sto.RngStream(7, 0))
-    b = sto.sample_complex_gaussian(64, 1.0, sto.RngStream(7, 1))
-    assert not np.allclose(a, b)
+    # (2**32, 0) and (0, 1) once joined to the same 32-bit entropy words.
+    for key_a, key_b in (((7, 0), (7, 1)), ((2**32, 0), (0, 1))):
+        a = sto.sample_complex_gaussian(64, 1.0, sto.RngStream(*key_a))
+        b = sto.sample_complex_gaussian(64, 1.0, sto.RngStream(*key_b))
+        assert not np.allclose(a, b)
+
+
+def test_stream_id_must_fit_64_bits():
+    for stream_id in (-1, 2**64):
+        with pytest.raises(ValueError):
+            sto.RngStream(0, stream_id)
 
 
 def test_variance_must_be_finite():
