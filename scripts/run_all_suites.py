@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Run every experiment suite at a desk-scale configuration.
 
-Writes one results.csv + summary.json pair per suite under --out and prints
-the per-check pass/fail lines.  Suite parameters here are sized for minutes,
-not hours; the acceptance battery in tests/test_acceptance.py runs the
+Writes config.ini, results.csv and summary.json per suite under --out/<suite>
+and prints the per-check pass/fail lines.  Suite parameters here are sized for
+minutes, not hours; the acceptance battery in tests/test_acceptance.py runs the
 officially-tolerated versions.
 """
 
 import argparse
 import sys
-import tempfile
 from pathlib import Path
 
 from qprec import cli
@@ -66,9 +65,9 @@ def main() -> int:
         params = SUITE_ARGS[name]
         out_dir = Path(args.out) / name
         text = TEMPLATE.format(name=name, out=out_dir, **params)
-        with tempfile.NamedTemporaryFile("w", suffix=".ini", delete=False) as fh:
-            fh.write(text)
-            cfg_path = fh.name
+        out_dir.mkdir(parents=True, exist_ok=True)
+        cfg_path = out_dir / "config.ini"
+        cfg_path.write_text(text)
         print(f"=== {name} -> {out_dir}")
         rc = cli.run(cfg_path)
         worst = max(worst, rc)

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quantizer import QuantizerSpec, gaussian_moments, quantize
+from .quantizer import GaussianMoments, QuantizerSpec, gaussian_moments, quantize
 from .spectral import MpLaw, mp_moment, sample_channel, sample_singular_values, theta_interval
 from .stochastic import (
     DegenerateDrawError,
@@ -195,10 +195,9 @@ class DegenerateQuantizerError(RuntimeError):
     """The quantizer output power vanished; no power scale exists."""
 
 
-def scalar_gains_at(moments: ShapedMoments, sigma2_sym: float, quant: QuantizerSpec,
-                    alpha: float) -> tuple[float, float, complex, float]:
-    """(signal gain, interference gain, linear gain, distortion rms) at scale alpha."""
-    gm = gaussian_moments(quant, alpha)
+def scalar_gains_at(moments: ShapedMoments, sigma2_sym: float,
+                    gm: GaussianMoments) -> tuple[float, float, complex, float]:
+    """(signal gain, interference gain, linear gain, distortion rms) at the scale of gm."""
     c1 = gm.linear_gain
     c2 = gm.distortion_rms
     ts = c1 * moments.mean_df
@@ -216,7 +215,7 @@ def asymptotic_model(config: SystemConfig, shaping: ShapingFunction,
     if gm.eq2 <= 0:
         raise DegenerateQuantizerError("quantizer output power is zero at this scale")
     eta = float(np.sqrt(config.power_limit / gm.eq2))
-    ts, tg, c1, c2 = scalar_gains_at(moments, config.sigma2_sym, quant, alpha_bar)
+    ts, tg, c1, c2 = scalar_gains_at(moments, config.sigma2_sym, gm)
     return ScalarModel(input_scale=alpha_bar, power_scale=eta, linear_gain=c1,
                        distortion_rms=c2, signal_gain=ts, interference_gain=tg,
                        moments=moments, sigma2_sym=config.sigma2_sym,
@@ -471,22 +470,15 @@ class CoupledModel:
     config: SystemConfig
     shaping: ShapingFunction
     quant: QuantizerSpec
-    eta_override: float | None = None
     scalar: ScalarModel = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scalar",
                            asymptotic_model(self.config, self.shaping, self.quant))
 
-    def finite_scale(self, alpha: float) -> tuple[float, float]:
-        """Scalar-model gains re-evaluated at a finite-draw input scale."""
-        ts, tg, _, _ = scalar_gains_at(self.scalar.moments, self.config.sigma2_sym,
-                                       self.quant, alpha)
-        return ts, tg
-
     def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
         """Samples of user 0; every user of a draw has the same law."""
-        model, override = self.scalar, self.eta_override
+        model = self.scalar
         out = {name: np.empty(trials, dtype=complex)
                for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
         out |= {name: np.empty(trials)
@@ -494,26 +486,22 @@ class CoupledModel:
         for t, (draw, ev, _, noise) in enumerate(
                 _trials(self.config, self.shaping, self.quant, rng, trials, users=1)):
             s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
-            eta_fin = ev.eta if override is None else override
-            eta_bar = model.power_scale if override is None else override
-            ts_mid, tg_mid = self.finite_scale(ev.alpha)
+            ts_mid, tg_mid, _, _ = scalar_gains_at(model.moments, self.config.sigma2_sym,
+                                                   gaussian_moments(self.quant, ev.alpha))
             out["s"][t] = s_k
-            out["y_hat"][t] = eta_fin * (ev.t_s * s_k + ev.t_g * g2_k) + n_k
-            out["y_bar"][t] = eta_bar * (model.signal_gain * s_k
-                                         + model.interference_gain * g2_k) + n_k
-            out["y_mid"][t] = eta_fin * (ts_mid * s_k + tg_mid * g2_k) + n_k
+            out["y_hat"][t] = ev.eta * (ev.t_s * s_k + ev.t_g * g2_k) + n_k
+            out["y_bar"][t] = model.power_scale * (model.signal_gain * s_k
+                                                   + model.interference_gain * g2_k) + n_k
+            out["y_mid"][t] = ev.eta * (ts_mid * s_k + tg_mid * g2_k) + n_k
             out["signal_gain"][t] = ev.t_s
             out["g2_user"][t] = g2_k
             out["interference_gain"][t] = ev.t_g
             out["input_scale"][t] = ev.alpha
-            out["power_scale"][t] = eta_fin
+            out["power_scale"][t] = ev.eta
         return CoupledSamples(**out)
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,
-                      quant: QuantizerSpec, eta_override: float | None = None) -> CoupledModel:
+                      quant: QuantizerSpec) -> CoupledModel:
     """Paired finite/asymptotic samplers fed by identical underlying draws."""
-    if eta_override is not None and eta_override <= 0:
-        raise ValueError("eta_override must be positive")
-    return CoupledModel(config=config, shaping=shaping, quant=quant,
-                        eta_override=eta_override)
+    return CoupledModel(config=config, shaping=shaping, quant=quant)

@@ -15,11 +15,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .bounds import BoundReport, sinr_sensitivity
 from .metrics import UnstableEstimateError, sinr_bar, sinr_from_samples
 from .models import (
     RawDraw,
+    ScalarModel,
     ShapingFunction,
     SystemConfig,
     asymptotic_model,
@@ -113,26 +115,6 @@ class SolveResult:
     profile: list[ProfilePoint] = field(default_factory=list)
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 40) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2.0
-    return x, fn(x)
-
-
 def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
                      grid: FamilyGrid) -> SolveResult:
     """Maximize the asymptotic SINR over the grid, then refine locally."""
@@ -155,16 +137,12 @@ def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
     rzf_vals = values[offset:]
     j = int(np.argmax(rzf_vals))
     if 0 < j < len(rhos) - 1:
-        # Interior maximum: golden-section on log(rho) over the bracket,
-        # run as two successive refinement rounds.
-        lo, hi = math.log(rhos[j - 1]), math.log(rhos[j + 1])
-        fn = lambda t: sinr_bar(config, rzf(math.exp(t)), quant)
-        for _ in range(2):
-            t_star, v_star = _golden_max(fn, lo, hi, iters=24)
-            width = (hi - lo) * ((math.sqrt(5.0) - 1.0) / 2.0) ** 24
-            lo, hi = t_star - width, t_star + width
-        if v_star > best_val:
-            best, best_val = rzf(math.exp(t_star)), v_star
+        # Interior maximum: bounded Brent search on log(rho) over the bracket.
+        res = minimize_scalar(lambda t: -sinr_bar(config, rzf(math.exp(t)), quant),
+                              bounds=(math.log(rhos[j - 1]), math.log(rhos[j + 1])),
+                              method="bounded", options={"xatol": 1e-6})
+        if -res.fun > best_val:
+            best, best_val = rzf(math.exp(res.x)), float(-res.fun)
     return SolveResult(best=best, value=best_val, profile=profile)
 
 
@@ -223,9 +201,8 @@ def optimal_gap_report(config: SystemConfig, quant: QuantizerSpec, grid: FamilyG
     sup_dev = 0.0
     l_rho = 0.0
     for f in grid.members():
-        model = asymptotic_model(config, f, quant)
-        l_rho = max(l_rho, sinr_sensitivity(config, model))
         coupled = functional_models(config, f, quant)
+        l_rho = max(l_rho, sinr_sensitivity(config, coupled.scalar))
         samples = coupled.sample(RngStream(seed, 1), max(200, trials // 4))
         dev = (float(np.sqrt(np.mean(np.abs(samples.y_hat - samples.y_bar) ** 2)))
                + float(np.sqrt(np.mean(np.abs(samples.y_mid - samples.y_bar) ** 2))))
@@ -258,12 +235,13 @@ class GrowthFunction:
 
 
 def _member_distance(f: ShapingFunction, g: ShapingFunction, config: SystemConfig,
-                     quant: QuantizerSpec) -> float:
+                     model_f: ScalarModel, model_g: ScalarModel) -> float:
+    """Sup distance of f and g on the bulk support plus that of their limit scale pairs."""
     lo, hi = theta_interval(config.gamma)
     xs = np.linspace(lo, hi, 501)
     sup_f = float(np.max(np.abs(np.asarray(f(xs)) - np.asarray(g(xs)))))
-    sf, sg = (sigma_asymptotic(h, config, quant) for h in (f, g))
-    return sup_f + abs(sf.eta - sg.eta) + abs(sf.alpha - sg.alpha)
+    return (sup_f + abs(model_f.power_scale - model_g.power_scale)
+            + abs(model_f.input_scale - model_g.input_scale))
 
 
 def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
@@ -277,8 +255,11 @@ def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     """
     asym = solve_asymptotic(config, quant, grid)
     members = grid.members() + [asym.best]  # argmax itself: dist 0, gap 0
-    dists = np.array([_member_distance(f, asym.best, config, quant) for f in members])
-    gaps = np.array([asym.value - sinr_bar(config, f, quant) for f in members])
+    models = [asymptotic_model(config, f, quant) for f in members]
+    dists = np.array([_member_distance(f, asym.best, config, m, models[-1])
+                      for f, m in zip(members, models)])
+    gaps = np.array([asym.value - sinr_bar(config, f, quant, model=m)
+                     for f, m in zip(members, models)])
     if tau_grid is None:
         tau_grid = np.concatenate([[0.0], np.sort(dists[dists > 0])])
     psi_vals = []

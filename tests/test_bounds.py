@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
+from scipy.special import ive
 
 from qprec import bounds as bnd
 from qprec import models as md
@@ -54,33 +56,29 @@ def test_threshold_splitter_defining_quadratic(x, y, eps):
 
 
 def test_hoeffding_unit_case():
-    assert bnd.concentration("hoeffding", t=1.0, widths=[1.0]) == pytest.approx(
-        2.0 * math.exp(-2.0))
+    assert bnd.hoeffding_bound(1.0, [1.0]) == pytest.approx(2.0 * math.exp(-2.0))
 
 
 def test_exp_mean_vanishes_for_large_deviation():
-    assert bnd.concentration("exp_mean", n=100, a=1e6) < 1e-300
+    assert bnd.exp_mean_bound(100, 1e6) < 1e-300
 
 
 def test_bernstein_regimes():
-    small = bnd.concentration("bernstein", t=0.1, psi1_norms=[1.0] * 10)
-    big = bnd.concentration("bernstein", t=100.0, psi1_norms=[1.0] * 10)
+    small = bnd.bernstein_bound(0.1, [1.0] * 10)
+    big = bnd.bernstein_bound(100.0, [1.0] * 10)
     assert small == pytest.approx(2.0 * math.exp(-0.5 * 0.01 / 10.0))
     assert big == pytest.approx(2.0 * math.exp(-0.5 * 100.0))
 
 
 def test_gaussian_lipschitz_kernel():
-    assert bnd.concentration("gaussian_lipschitz", t=2.0, lip=1.0) == pytest.approx(
-        2.0 * math.exp(-2.0))
+    assert bnd.gaussian_lipschitz_bound(2.0, 1.0) == pytest.approx(2.0 * math.exp(-2.0))
 
 
 def test_kernels_reject_bad_hypotheses():
     with pytest.raises(bnd.HypothesisError):
-        bnd.concentration("hoeffding", t=-1.0, widths=[1.0])
+        bnd.hoeffding_bound(-1.0, [1.0])
     with pytest.raises(bnd.HypothesisError):
-        bnd.concentration("quad_form", eps=0.1, k=0, m1=1.0)
-    with pytest.raises(ValueError):
-        bnd.concentration("no_such_kernel", t=1.0)
+        bnd.quad_form_bound(0.1, 0, 1.0)
 
 
 def test_quad_form_empirical_tail():
@@ -161,6 +159,33 @@ def test_sinr_sensitivity_finite_positive(shaping, quant):
     m = md.asymptotic_model(CFG, shaping, quant)
     val = bnd.sinr_sensitivity(CFG, m)
     assert np.isfinite(val) and val > 0
+
+
+def _mean_abs_by_quadrature(model, cfg):
+    """E|y| by adaptive quadrature over the Rice density of each |CN(eta Ts s, v)|."""
+    v = model.power_scale**2 * model.interference_gain**2 + cfg.sigma2_noise
+    total = 0.0
+    for s in cfg.constellation:
+        nu = abs(model.power_scale * model.signal_gain * s)
+
+        def integrand(r):
+            # Rice density with I0 exponentially rescaled.
+            return r * (2.0 * r / v) * math.exp(-((r - nu) ** 2) / v) * ive(0, 2.0 * r * nu / v)
+
+        val, _ = integrate.quad(integrand, 0.0, nu + 12.0 * math.sqrt(v),
+                                epsabs=1e-12, epsrel=1e-10, limit=200)
+        total += val
+    return total / len(cfg.constellation)
+
+
+@pytest.mark.parametrize("sigma2_noise", [1e-3, 0.1, 10.0])
+def test_mean_abs_output_closed_form_matches_quadrature(sigma2_noise):
+    cfg = md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=sigma2_noise)
+    for quant in (ONE_BIT, qt.phase_ce(8), qt.uniform_iq(levels=8, step=0.4, clip=1.6)):
+        for shaping in (md.mf(), md.zf(), md.rzf(0.25)):
+            m = md.asymptotic_model(cfg, shaping, quant)
+            assert bnd.mean_abs_scalar_output(m, cfg) == pytest.approx(
+                _mean_abs_by_quadrature(m, cfg), rel=1e-12)
 
 
 def test_mean_abs_output_against_monte_carlo(model):

@@ -99,6 +99,18 @@ def test_refinement_stability(asym):
     assert abs(again.value - asym.value) < 1e-4 * asym.value
 
 
+@pytest.mark.parametrize("quant", [ONE_BIT, qt.phase_ce(8)], ids=["one_bit", "phase_ce8"])
+def test_refinement_reaches_bracket_maximum(quant):
+    res = opt.solve_asymptotic(CFG, quant, GRID)
+    rzf_vals = [p.value for p in res.profile if not math.isnan(p.rho)]
+    j = int(np.argmax(rzf_vals))
+    assert 0 < j < GRID.points - 1  # interior, so the refinement runs
+    rhos = GRID.rhos
+    dense = np.geomspace(rhos[j - 1], rhos[j + 1], 401)
+    best_on_grid = max(sinr_bar(CFG, md.rzf(r), quant) for r in dense)
+    assert res.value >= best_on_grid * (1.0 - 1e-12)
+
+
 # -- finite solve -------------------------------------------------------------------
 
 
@@ -184,7 +196,9 @@ def test_solution_set_distance_bounded_by_growth(growth, asym):
                 for f in members)
     for seed in range(5):
         fin = opt.solve_finite(CFG, ONE_BIT, GRID, seed=seed, trials=300)
-        dist = opt._member_distance(fin.best, asym.best, CFG, ONE_BIT)
+        dist = opt._member_distance(fin.best, asym.best, CFG,
+                                    md.asymptotic_model(CFG, fin.best, ONE_BIT),
+                                    md.asymptotic_model(CFG, asym.best, ONE_BIT))
         draw = opt.sample_raw_draw(CFG, RngStream(20, seed))
         dev = max(opt.sigma_finite(f, draw, CFG, ONE_BIT).distance(lim)
                   for f, lim in zip(members, limits))

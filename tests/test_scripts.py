@@ -18,3 +18,13 @@ def test_script_runs(script, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script] + args)
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert expected in capsys.readouterr().out
+
+
+def test_run_all_suites_keeps_config_beside_results(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--suite", "tail-audit",
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "run_all_suites.py"), run_name="__main__")
+    assert exc.value.code == 0
+    for name in ("config.ini", "results.csv", "summary.json"):
+        assert (tmp_path / "tail-audit" / name).is_file()
