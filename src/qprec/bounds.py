@@ -102,12 +102,6 @@ def cross_form_bound(eps: float, k: int, m1: float) -> float:
     return 4.0 * math.exp(-k * eps * eps / (2.0 * m1 * m1))
 
 
-def lss_chebyshev_bound(eps: float, k: int, m1: float) -> float:
-    if eps <= 0 or k < 1 or m1 <= 0:
-        raise HypothesisError("eps > 0, k >= 1, m1 > 0 required")
-    return 2.0 * m1 * m1 / (k * eps * eps)
-
-
 # ---------------------------------------------------------------------------
 # Sensitivity constants for the SEP / SINR gap bounds
 # ---------------------------------------------------------------------------
@@ -206,7 +200,6 @@ class CascadeParams:
     mean_f2: float
     mean_d2f2: float
     mean_d2: float
-    kbar: float = 0.0    # dimension threshold of the bulk-support assumption
 
     def __post_init__(self) -> None:
         for name in ("m0", "m1", "sigma_s2", "gamma", "alpha_bar", "ezq_abs",
@@ -245,10 +238,8 @@ def assumption_m1(shaping: ShapingFunction, gamma: float) -> float:
 
 
 def cascade_params(config: SystemConfig, shaping: ShapingFunction,
-                   quant: QuantizerSpec, model: ScalarModel | None = None,
-                   kbar: float = 0.0) -> CascadeParams:
-    if model is None:
-        model = asymptotic_model(config, shaping, quant)
+                   quant: QuantizerSpec) -> CascadeParams:
+    model = asymptotic_model(config, shaping, quant)
     mom = model.moments
     mags = np.abs(config.points) ** 2
     return CascadeParams(
@@ -261,8 +252,7 @@ def cascade_params(config: SystemConfig, shaping: ShapingFunction,
         ezq_abs=model.input_scale * abs(model.linear_gain),
         c1_abs=abs(model.linear_gain), c2=model.distortion_rms,
         tg_bar=model.interference_gain, mean_df=mom.mean_df, var_df=mom.var_df,
-        mean_f2=mom.mean_f2, mean_d2f2=mom.mean_d2f2, mean_d2=mom.mean_d2,
-        kbar=kbar)
+        mean_f2=mom.mean_f2, mean_d2f2=mom.mean_d2f2, mean_d2=mom.mean_d2)
 
 
 @dataclass(frozen=True)
@@ -456,7 +446,6 @@ def interference_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
         _envelope_threshold(p, ns["delta19"], squared=False),
         _envelope_threshold(p, ns["delta23"], squared=True),
         _envelope_threshold(p, ns["delta26"], squared=False),
-        p.kbar,
         1.0 / (p.gamma * ns["delta4"]),
         1.0 / (p.gamma * ns["delta8"]),
         1.0 / (p.gamma * ns["delta19"]))

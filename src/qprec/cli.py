@@ -100,10 +100,11 @@ def _parse_quantizer(cp: configparser.ConfigParser) -> qnt.QuantizerSpec:
         if kind == "one_bit":
             return qnt.one_bit(q.getfloat("amplitude", 1.0 / math.sqrt(2.0)))
         if kind == "uniform_iq":
-            levels = q.getint("levels")
-            step = q.getfloat("step")
-            return qnt.uniform_iq(levels=levels, step=step,
-                                  clip=q.getfloat("clip", levels * step / 2.0))
+            spec = qnt.uniform_iq(levels=q.getint("levels"), step=q.getfloat("step"))
+            clip = q.getfloat("clip", spec.clip)
+            if abs(clip - spec.clip) > 1e-9 * max(1.0, clip):
+                raise ValueError("clip must equal levels*step/2 (saturated mid-rise grid)")
+            return spec
         if kind == "phase_ce":
             return qnt.phase_ce(q.getint("phases"), q.getfloat("radius", 1.0))
     except (TypeError, ValueError) as exc:
@@ -146,6 +147,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad numeric field: {exc}") from exc
     if not seeds:
         raise ConfigError("field 'seeds' must list at least one seed")
+    if trials < 1:
+        raise ConfigError("field 'trials' must be at least 1")
+    if not eps > 0:
+        raise ConfigError("field 'eps' must be positive")
     if list(k_ladder) != sorted(set(k_ladder)):
         raise ConfigError("field 'k_ladder' must be strictly increasing")
     cname = cp.get("system", "constellation", fallback=None)
@@ -153,16 +158,27 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("missing field 'constellation' in section [system]")
     if cname not in _CONSTELLATIONS:
         raise ConfigError(f"unknown constellation '{cname}'; have {sorted(_CONSTELLATIONS)}")
-    grid = opt.FamilyGrid(
-        rho_min=cp.getfloat("grid", "rho_min", fallback=1e-3),
-        rho_max=cp.getfloat("grid", "rho_max", fallback=10.0),
-        points=cp.getint("grid", "points", fallback=9))
-    return ExperimentConfig(
+    try:
+        grid = opt.FamilyGrid(
+            rho_min=cp.getfloat("grid", "rho_min", fallback=1e-3),
+            rho_max=cp.getfloat("grid", "rho_max", fallback=10.0),
+            points=cp.getint("grid", "points", fallback=9))
+    except ValueError as exc:
+        raise ConfigError(f"bad [grid] fields: {exc}") from exc
+    cfg = ExperimentConfig(
         name=name, seeds=seeds, k_ladder=k_ladder, trials=trials,
         output_dir=output_dir, gamma=gamma, sigma2_noise=sigma2_noise,
         constellation=_CONSTELLATIONS[cname], power_limit=power_limit,
         quantizer=_parse_quantizer(cp), shaping=_parse_shaping(cp),
         grid=grid, eps=eps)
+    for k in k_ladder:
+        try:
+            cfg.system(k)
+        except ValueError as exc:
+            raise ConfigError(
+                f"no valid system for 'k_ladder' entry {k} with [system] gamma = {gamma!r}, "
+                f"sigma2_noise = {sigma2_noise!r}, power_limit = {power_limit!r}: {exc}") from exc
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +195,14 @@ class Record:
     value: float
     std_error: float = float("nan")
     bound: float = float("nan")
-    holds: str = ""
+    holds: bool | None = None
     wall_time: float = 0.0
 
     def row(self) -> list:
         return [self.experiment, self.seed, self.k, self.metric,
                 repr(float(self.value)), repr(float(self.std_error)),
-                repr(float(self.bound)), self.holds, f"{self.wall_time:.3f}"]
+                repr(float(self.bound)), "" if self.holds is None else str(self.holds),
+                f"{self.wall_time:.3f}"]
 
 
 _PURPOSES = ("channel", "original", "equivalent", "coupled", "sep_bar", "lss",
@@ -242,13 +259,13 @@ def _suite_mp_check(cfg: ExperimentConfig):
         ks = float(np.max(np.maximum(np.abs(np.arange(1, n + 1) / n - cdf),
                                      np.abs(np.arange(n) / n - cdf))))
         return [
-            Record(cfg.name, seed, k, "sv_min", float(xs[0]), bound=lo, holds=str(xs[0] >= lo)),
-            Record(cfg.name, seed, k, "sv_max", float(xs[-1]), bound=hi, holds=str(xs[-1] <= hi)),
+            Record(cfg.name, seed, k, "sv_min", float(xs[0]), bound=lo, holds=bool(xs[0] >= lo)),
+            Record(cfg.name, seed, k, "sv_max", float(xs[-1]), bound=hi, holds=bool(xs[-1] <= hi)),
             Record(cfg.name, seed, k, "ks_to_limit", ks),
         ]
 
     records = _run_cells(cfg, cell)
-    contained = all(r.holds == "True" for r in records if r.metric in ("sv_min", "sv_max"))
+    contained = all(r.holds for r in records if r.metric in ("sv_min", "sv_max"))
     return records, {"edge_containment": contained}
 
 
@@ -262,10 +279,10 @@ def _suite_equivalence(cfg: ExperimentConfig):
                                         _stream(seed, "equivalent", k), cfg.trials)
         ks = stats.ks_2samp(orig.y[:, 0].real, equiv.y_hat[:, 0].real).statistic
         return [Record(cfg.name, seed, k, "ks_real_part", float(ks),
-                       bound=0.03, holds=str(ks < 0.03))]
+                       bound=0.03, holds=bool(ks < 0.03))]
 
     records = _run_cells(cfg, cell)
-    return records, {"distribution_match": all(r.holds == "True" for r in records)}
+    return records, {"distribution_match": all(r.holds for r in records)}
 
 
 @suite("converge-sinr")
@@ -351,7 +368,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     target = math.sqrt(2.0 / math.pi)
     records.append(Record(cfg.name, 0, k_big, "one_bit_corr_quadrature",
                           float(abs(gm.ezq)), bound=target + 1e-6,
-                          holds=str(abs(abs(gm.ezq) - target) < 1e-6)))
+                          holds=abs(abs(gm.ezq) - target) < 1e-6))
     checks["one_bit_correlation"] = abs(abs(gm.ezq) - target) < 1e-6
 
     # Envelope sandwich on a grid.
@@ -365,7 +382,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     checks["envelope_sandwich"] = sandwich
     records.append(Record(cfg.name, 0, k_big, "envelope_sandwich_viol",
                           float(max(np.max(lo_v - mid), np.max(mid - hi_v))),
-                          bound=0.0, holds=str(sandwich)))
+                          bound=0.0, holds=sandwich))
 
     # Linear spectral statistic variance against its bound, per ladder K.
     m1 = bnd.assumption_m1(cfg.shaping, cfg.gamma)
@@ -378,8 +395,8 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         var = float(np.var(vals, ddof=1))
         bound = spc.lss_variance_bound(m1, k)
         records.append(Record(cfg.name, cfg.seeds[0], k, "lss_variance", var,
-                              bound=bound, holds=str(var <= bound)))
-    checks["lss_variance"] = all(r.holds == "True" for r in records
+                              bound=bound, holds=var <= bound))
+    checks["lss_variance"] = all(r.holds for r in records
                                  if r.metric == "lss_variance")
 
     # Quadratic/cross form empirical tails against the explicit bounds; one
@@ -400,10 +417,10 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         qb = bnd.quad_form_bound(eps, k_big, m1_stat)
         cb = bnd.cross_form_bound(eps, k_big, m1_stat)
         records.append(Record(cfg.name, cfg.seeds[0], k_big, f"quad_tail_{eps}",
-                              exceed / reps, bound=qb, holds=str(exceed / reps <= qb)))
+                              exceed / reps, bound=qb, holds=exceed / reps <= qb))
         records.append(Record(cfg.name, cfg.seeds[0], k_big, f"cross_tail_{eps}",
-                              cross / reps, bound=cb, holds=str(cross / reps <= cb)))
-    checks["form_tails"] = all(r.holds == "True" for r in records
+                              cross / reps, bound=cb, holds=cross / reps <= cb))
+    checks["form_tails"] = all(r.holds for r in records
                                if r.metric.startswith(("quad_tail", "cross_tail")))
 
     # Boundary-collar mass of a complex Gaussian against the Lipschitz bound.
@@ -413,7 +430,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     collar = bnd.gaussian_boundary_bound(1.0, eps)
     checks["boundary_collar"] = mass <= collar
     records.append(Record(cfg.name, cfg.seeds[0], k_big, "boundary_collar_mass",
-                          mass, bound=collar, holds=str(mass <= collar)))
+                          mass, bound=collar, holds=mass <= collar))
 
     # SEP and SINR gap bounds at the largest ladder point, one record per seed.
     sinr_ok, sep_ok = [], []
@@ -429,7 +446,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         ok = gap <= lk * dev.value
         sinr_ok.append(ok)
         records.append(Record(cfg.name, seed, k_big, "sinr_gap_vs_bound", gap,
-                              bound=lk * dev.value, holds=str(ok)))
+                              bound=lk * dev.value, holds=ok))
         hat = met.sep_from_samples(samples.y_hat, samples.s, rule)
         bar = met.sep_bar(model, rule, system, _stream(seed, "sep_bar", k_big), 100_000)
         d_sig = met.ky_fan_distance(samples.signal_gain,
@@ -441,7 +458,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         ok = sep_gap <= sep_bound
         sep_ok.append(ok)
         records.append(Record(cfg.name, seed, k_big, "sep_gap_vs_bound", sep_gap,
-                              bound=sep_bound, holds=str(ok)))
+                              bound=sep_bound, holds=ok))
     checks["sinr_gap_bound"] = all(sinr_ok)
     checks["sep_gap_bound"] = all(sep_ok)
     return records, checks
@@ -476,7 +493,7 @@ def _suite_optimize(cfg: ExperimentConfig):
             per_seed.append(report)
             records.append(Record(cfg.name, seed, k, "optimal_value_gap",
                                   report.empirical, bound=report.bound,
-                                  holds=str(report.holds)))
+                                  holds=report.holds))
         fin = opt.solve_finite(system, cfg.quantizer, cfg.grid,
                                seed=cfg.seeds[0], trials=cfg.trials)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)
@@ -487,7 +504,7 @@ def _suite_optimize(cfg: ExperimentConfig):
         records.append(Record(cfg.name, cfg.seeds[0], k, "feasibility_deviation", fdev))
         records.append(Record(cfg.name, cfg.seeds[0], k, "asymptotic_value", asym.value))
         gaps.append(float(np.mean([r.empirical for r in per_seed])) / asym.value)
-    checks["bound_holds"] = all(r.holds == "True" for r in records
+    checks["bound_holds"] = all(r.holds for r in records
                                 if r.metric == "optimal_value_gap")
     checks["final_rel_gap_below_10pct"] = gaps[-1] < 0.10
     if len(gaps) > 1:
@@ -511,9 +528,9 @@ def _suite_tail_audit(cfg: ExperimentConfig):
         tg_vals.append(tg.value)
         ts_vals.append(ts.value)
         records.append(Record(cfg.name, 0, k, "interference_tail", tg.value,
-                              bound=tg.threshold, holds=str(tg.applicable)))
+                              bound=tg.threshold, holds=tg.applicable))
         records.append(Record(cfg.name, 0, k, "signal_tail", ts.value,
-                              bound=ts.threshold, holds=str(ts.applicable)))
+                              bound=ts.threshold, holds=ts.applicable))
     far = [bnd.interference_gain_tail(cfg.eps, 10**p, params).value
            for p in (50, 60, 70)]
     checks = {

@@ -90,10 +90,10 @@ def _sinr_ratio(rho: complex, m2: float, sigma2_sym: float) -> float:
     return signal / denom
 
 
-def _batch_means(plugin, n: int, batches: int) -> Estimate:
-    """plugin(slice) over all n samples, with a batch-means standard error."""
+def _batch_means(plugin, n: int) -> Estimate:
+    """plugin(slice) over all n samples, with a standard error from 16 batch means."""
     value = plugin(slice(None))
-    b = max(2, min(batches, n // 8))
+    b = max(2, min(16, n // 8))
     edges = np.linspace(0, n, b + 1, dtype=int)
     vals = []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -105,8 +105,7 @@ def _batch_means(plugin, n: int, batches: int) -> Estimate:
     return Estimate(value=float(value), std_error=se, trials=n)
 
 
-def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float,
-                      batches: int = 16) -> Estimate:
+def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float) -> Estimate:
     """Plug-in SINR estimate from per-user samples (y_k, s_k).
 
     The correlation coefficient and second moment are estimated jointly;
@@ -122,11 +121,10 @@ def sinr_from_samples(y: np.ndarray, s: np.ndarray, sigma2_sym: float,
         rho = complex(_fsum_mean(cross.real), _fsum_mean(cross.imag)) / sigma2_sym
         return _sinr_ratio(rho, _fsum_mean(np.abs(y[sl]) ** 2), sigma2_sym)
 
-    return _batch_means(plugin, y.size, batches)
+    return _batch_means(plugin, y.size)
 
 
-def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig,
-                     batches: int = 16) -> Estimate:
+def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig) -> Estimate:
     """Finite-model SINR from coupled samples, variance-reduced.
 
     The coupled limiting output shares every draw with the finite one and has
@@ -151,7 +149,7 @@ def sinr_hat_coupled(samples, model: ScalarModel, config: SystemConfig,
         m2 = m2_limit + _fsum_mean(np.abs(y_hat[sl]) ** 2 - np.abs(y_bar[sl]) ** 2)
         return _sinr_ratio(rho, m2, sig2)
 
-    return _batch_means(plugin, n, batches)
+    return _batch_means(plugin, n)
 
 
 def sinr_bar(config: SystemConfig, shaping, quant: QuantizerSpec,
@@ -194,10 +192,11 @@ def sep_bar(model: ScalarModel, rule: DecisionRule, config: SystemConfig,
     return sep_from_samples(y, s, rule)
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval; preferred in the small-probability regime."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95 % Wilson score interval; preferred in the small-probability regime."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    z = 1.96
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .bounds import BoundReport, sinr_sensitivity
-from .metrics import UnstableEstimateError, sinr_bar, sinr_from_samples
+from .metrics import UnstableEstimateError, l2_deviation, sinr_bar, sinr_from_samples
 from .models import (
     RawDraw,
     ScalarModel,
@@ -204,8 +204,8 @@ def optimal_gap_report(config: SystemConfig, quant: QuantizerSpec, grid: FamilyG
         coupled = functional_models(config, f, quant)
         l_rho = max(l_rho, sinr_sensitivity(config, coupled.scalar))
         samples = coupled.sample(RngStream(seed, 1), max(200, trials // 4))
-        dev = (float(np.sqrt(np.mean(np.abs(samples.y_hat - samples.y_bar) ** 2)))
-               + float(np.sqrt(np.mean(np.abs(samples.y_mid - samples.y_bar) ** 2))))
+        dev = (l2_deviation(samples.y_hat, samples.y_bar).value
+               + l2_deviation(samples.y_mid, samples.y_bar).value)
         sup_dev = max(sup_dev, dev)
     return BoundReport(
         name="optimal_value_gap",
@@ -244,8 +244,7 @@ def _member_distance(f: ShapingFunction, g: ShapingFunction, config: SystemConfi
             + abs(model_f.input_scale - model_g.input_scale))
 
 
-def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
-               tau_grid: np.ndarray | None = None) -> GrowthFunction:
+def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid) -> GrowthFunction:
     """Family-restricted growth function of the asymptotic problem.
 
     psi(tau) is the smallest optimality gap among feasible grid points at
@@ -258,13 +257,11 @@ def growth_psi(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     models = [asymptotic_model(config, f, quant) for f in members]
     dists = np.array([_member_distance(f, asym.best, config, m, models[-1])
                       for f, m in zip(members, models)])
-    gaps = np.array([asym.value - sinr_bar(config, f, quant, model=m)
-                     for f, m in zip(members, models)])
-    if tau_grid is None:
-        tau_grid = np.concatenate([[0.0], np.sort(dists[dists > 0])])
+    gaps = np.array([asym.value - p.value for p in asym.profile] + [0.0])
+    tau_grid = np.concatenate([[0.0], np.sort(dists[dists > 0])])
     psi_vals = []
     for tau in tau_grid:
         far = dists >= tau
         psi_vals.append(float(np.min(gaps[far])) if np.any(far) else float("inf"))
     psi_vals = np.maximum.accumulate(np.maximum(np.asarray(psi_vals), 0.0))
-    return GrowthFunction(taus=np.asarray(tau_grid, dtype=float), psi=psi_vals)
+    return GrowthFunction(taus=tau_grid, psi=psi_vals)

@@ -1,10 +1,10 @@
 """Piecewise-constant complex quantizers and their Gaussian statistics.
 
-Three hardware-motivated families are modeled, all acting component-wise on
+Two hardware-motivated families are modeled, both acting component-wise on
 complex inputs and mapping onto a finite output set:
 
-* ``one_bit``     -- sign per I/Q rail with a fixed output amplitude,
-* ``uniform_iq``  -- mid-rise uniform quantizer per I/Q rail with clipping,
+* ``uniform_iq``  -- mid-rise uniform quantizer per I/Q rail with clipping;
+  the one-bit (sign) quantizer is its two-level member, built by ``one_bit``,
 * ``phase_ce``    -- constant-envelope phase quantizer (nearest of M phases).
 
 For each we track the discontinuity geometry (counts of lines and rays in
@@ -31,29 +31,28 @@ _SQRT_PI = np.sqrt(np.pi)
 class QuantizerSpec:
     """A component-wise complex quantizer with recorded discontinuity geometry."""
 
-    kind: str                 # "one_bit" | "uniform_iq" | "phase_ce"
-    amplitude: float = 0.0    # one_bit: output level per rail
+    kind: str                 # "uniform_iq" | "phase_ce"
     levels: int = 0           # uniform_iq: output levels per rail
     step: float = 0.0         # uniform_iq: cell width
-    clip: float = 0.0         # uniform_iq: saturation level (levels*step/2)
     phases: int = 0           # phase_ce: number of output phases
     radius: float = 0.0       # phase_ce: output modulus
 
     # -- geometry ----------------------------------------------------------
 
     @property
+    def clip(self) -> float:
+        """uniform_iq: saturation level of the mid-rise grid."""
+        return self.levels * self.step / 2.0
+
+    @property
     def m0(self) -> float:
         """sup |q(z)| over the plane."""
-        if self.kind == "one_bit":
-            return self.amplitude * np.sqrt(2.0)
         if self.kind == "uniform_iq":
             return (self.clip - self.step / 2.0) * np.sqrt(2.0)
         return self.radius
 
     def line_count(self, component: str) -> int:
         _check_component(component)
-        if self.kind == "one_bit":
-            return 1
         if self.kind == "uniform_iq":
             return self.levels - 1
         return 0
@@ -78,16 +77,12 @@ class QuantizerSpec:
     # -- scalar rail structure (separable kinds) ----------------------------
 
     def rail_thresholds(self) -> np.ndarray:
-        if self.kind == "one_bit":
-            return np.array([0.0])
         if self.kind == "uniform_iq":
             half = self.levels // 2
             return self.step * np.arange(-(half - 1), half)
         raise ValueError("phase quantizers have no per-rail structure")
 
     def rail_values(self) -> np.ndarray:
-        if self.kind == "one_bit":
-            return np.array([-self.amplitude, self.amplitude])
         if self.kind == "uniform_iq":
             half = self.levels // 2
             return self.step * (np.arange(-half, half) + 0.5)
@@ -100,19 +95,18 @@ def _check_component(component: str) -> None:
 
 
 def one_bit(amplitude: float = 1.0 / np.sqrt(2.0)) -> QuantizerSpec:
+    """Sign per I/Q rail with outputs +-amplitude: the two-level uniform quantizer."""
     if amplitude <= 0:
         raise ValueError("amplitude must be positive")
-    return QuantizerSpec(kind="one_bit", amplitude=float(amplitude))
+    return uniform_iq(levels=2, step=2.0 * amplitude)
 
 
-def uniform_iq(levels: int, step: float, clip: float) -> QuantizerSpec:
+def uniform_iq(levels: int, step: float) -> QuantizerSpec:
     if levels < 2 or levels % 2:
         raise ValueError("levels must be an even integer >= 2")
-    if step <= 0 or clip <= 0:
-        raise ValueError("step and clip must be positive")
-    if abs(clip - levels * step / 2.0) > 1e-9 * max(1.0, clip):
-        raise ValueError("clip must equal levels*step/2 (saturated mid-rise grid)")
-    return QuantizerSpec(kind="uniform_iq", levels=int(levels), step=float(step), clip=float(clip))
+    if step <= 0:
+        raise ValueError("step must be positive")
+    return QuantizerSpec(kind="uniform_iq", levels=int(levels), step=float(step))
 
 
 def phase_ce(phases: int, radius: float = 1.0) -> QuantizerSpec:
@@ -123,10 +117,9 @@ def phase_ce(phases: int, radius: float = 1.0) -> QuantizerSpec:
     return QuantizerSpec(kind="phase_ce", phases=int(phases), radius=float(radius))
 
 
-def identity_like(span: float = 32.0, step: float = 1e-3) -> QuantizerSpec:
-    """Fine uniform quantizer approximating the identity on |Re|,|Im| < span."""
-    levels = 2 * int(round(span / step / 2.0))
-    return uniform_iq(levels=levels, step=step, clip=levels * step / 2.0)
+def identity_like() -> QuantizerSpec:
+    """Fine uniform quantizer (step 1e-3) approximating the identity on |Re|,|Im| < 32."""
+    return uniform_iq(levels=32_000, step=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +128,13 @@ def identity_like(span: float = 32.0, step: float = 1e-3) -> QuantizerSpec:
 
 
 def _rail_quantize(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
-    if spec.kind == "one_bit":
-        # x = 0 sits on the boundary; the negative cell center is smaller.
-        return np.where(x > 0, spec.amplitude, -spec.amplitude)
-    # Mid-rise: cell k = (step*k, step*(k+1)], center step*(k+1/2); using
-    # ceil-1 sends threshold points to the lower cell (the tie rule).
-    k = np.ceil(x / spec.step) - 1.0
-    centers = spec.step * (k + 0.5)
+    # Mid-rise: cell k = (step*k, step*(k+1)], center step*(k+1/2); with
+    # k = ceil(x/step) - 1 threshold points go to the lower cell (the tie rule).
+    centers = spec.step * (np.ceil(x / spec.step) - 0.5)
     top = spec.clip - spec.step / 2.0
-    return np.clip(centers, -top, top)
+    # minimum/maximum rather than np.clip, whose scalar-bound overhead
+    # dominates on the short rails of one draw.
+    return np.minimum(np.maximum(centers, -top), top)
 
 
 def _phase_sector(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
@@ -229,7 +220,7 @@ def gaussian_moments(spec: QuantizerSpec, alpha: float) -> GaussianMoments:
     """
     if not np.isfinite(alpha) or alpha <= 0:
         raise ValueError("alpha must be positive")
-    if spec.kind in ("one_bit", "uniform_iq"):
+    if spec.kind == "uniform_iq":
         eyq, eq2_rail = _separable_rail_moments(spec, alpha)
         # E[Z^dag q(aZ)] = 2 E[X qr(aX)] = (2/a) E[Y qr(Y)], Y = aX.
         ezq = complex(2.0 * eyq / alpha)
@@ -324,32 +315,30 @@ def envelope(spec: QuantizerSpec, component: str, tau: float) -> Envelope:
     return Envelope(spec=spec, component=component, tau=tau)
 
 
-def _gauss_expect_1d(fn, sd: float, cutoff: float = 8.0, breaks=None) -> float:
-    """E fn(U) for U ~ N(0, sd^2), adaptive on the truncated range.
+def _gauss_expect_1d(fn, breaks) -> float:
+    """E fn(U) for U ~ N(0, 1/2) (one rail of CN(0, 1)), adaptive on |U| < 8 sd.
 
     The envelope integrands live on bands of width tau around the
     discontinuity set, which a fixed-node rule cannot resolve for small tau;
     ``breaks`` lists band locations so refinement starts inside them.
     """
+    sd = np.sqrt(0.5)
     norm = sd * np.sqrt(2.0 * np.pi)
-    lo, hi = -cutoff * sd, cutoff * sd
+    lo, hi = -8.0 * sd, 8.0 * sd
 
     def weighted(u: float) -> float:
         return float(fn(np.asarray(u))) * np.exp(-u * u / (2.0 * sd * sd)) / norm
 
-    pts = None
-    if breaks is not None:
-        pts = sorted({float(b) for b in breaks if lo < b < hi})
-        if len(pts) > 100 or not pts:
-            pts = None
+    pts = sorted({float(b) for b in breaks if lo < b < hi})
+    if len(pts) > 100 or not pts:
+        pts = None
     val, _ = integrate.quad(weighted, lo, hi, points=pts,
                             epsabs=1e-12, epsrel=1e-9, limit=500)
     return val
 
 
-def _gauss_expect_complex(fn, cutoff: float = 6.0, n_radial: int = 400,
-                          n_angle: int = 4096) -> float:
-    """E fn(Z) for Z ~ CN(0,1) on a dense polar tensor grid.
+def _gauss_expect_complex(fn) -> float:
+    """E fn(Z) for Z ~ CN(0,1) on a dense polar tensor grid (400 x 4096, |Z| < 6).
 
     fn must be vectorized over complex arrays.  The angular trapezoid rule
     is second order through the (known, kink-only) sector boundaries, which
@@ -358,7 +347,8 @@ def _gauss_expect_complex(fn, cutoff: float = 6.0, n_radial: int = 400,
     phase_ce sector boundary (where the tie rule would pick a side) and the
     grid is symmetric under conjugation.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    cutoff, n_angle = 6.0, 4096
+    nodes, weights = np.polynomial.legendre.leggauss(400)
     r = 0.5 * cutoff * (nodes + 1.0)
     wr = 0.5 * cutoff * weights * 2.0 * r * np.exp(-r * r)
     phi = (np.arange(n_angle) + 0.5) * (2.0 * np.pi / n_angle)
@@ -393,8 +383,7 @@ def envelope_gap_expectation(spec: QuantizerSpec, component: str, tau: float,
         def gap(u: np.ndarray) -> np.ndarray:
             x = u + 0j if component == "real" else 1j * u
             return np.abs(env.upper(alpha_bar * x) - env.lower(alpha_bar * x))
-        value = _gauss_expect_1d(gap, sd=np.sqrt(0.5),
-                                 breaks=_band_breaks(spec, tau, alpha_bar))
+        value = _gauss_expect_1d(gap, _band_breaks(spec, tau, alpha_bar))
     bound = (2.0 * spec.m0 / alpha_bar) * spec.band_constant(component) * tau
     return value, bound
 
@@ -426,8 +415,7 @@ def envelope_product_gap(spec: QuantizerSpec, component: str, tau: float,
         def diff1d(u: np.ndarray) -> np.ndarray:
             z = u + 0j if component == "real" else 1j * u
             return diff(z)
-        gap = abs(_gauss_expect_1d(diff1d, sd=np.sqrt(0.5),
-                                   breaks=_band_breaks(spec, tau, alpha_bar)))
+        gap = abs(_gauss_expect_1d(diff1d, _band_breaks(spec, tau, alpha_bar)))
     bound = np.sqrt(2.0) * spec.m0 * np.sqrt(spec.band_constant(component) / alpha_bar) \
         * np.sqrt(tau)
     return gap, bound

@@ -9,6 +9,7 @@ criteria specify.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -33,10 +34,32 @@ def _config(k: int) -> md.SystemConfig:
     return md.SystemConfig.with_gamma(k=k, gamma=GAMMA, sigma2_noise=NOISE)
 
 
+_started = 0.0
+
+
+def _restart_clock() -> None:
+    global _started
+    _started = time.perf_counter()
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _module_clock():
+    _restart_clock()
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    """Restart the clock after each criterion, so the set-up of a shared module
+    fixture counts toward the first criterion that uses it."""
+    yield
+    _restart_clock()
+
+
 def _report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f"  ({detail})" if detail else ""
-    print(f"[{status}] criterion {criterion:2d}: {label}{suffix}")
+    wall = time.perf_counter() - _started
+    print(f"[{status}] criterion {criterion:2d}: {label}{suffix}  [{wall:.1f} s]")
     assert ok, f"criterion {criterion}: {label}{suffix}"
 
 

@@ -10,7 +10,7 @@ from scipy.special import ive
 from qprec import bounds as bnd
 from qprec import models as md
 from qprec import quantizer as qt
-from qprec.spectral import sample_singular_values
+from qprec.spectral import lss_tail_bound, sample_singular_values
 from qprec.stochastic import RngStream, sample_complex_gaussian
 
 CFG = md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=0.1)
@@ -102,7 +102,7 @@ def test_quad_form_empirical_tail():
 
 
 def test_lss_chebyshev_formula():
-    assert bnd.lss_chebyshev_bound(0.1, 256, 2.0) == pytest.approx(
+    assert lss_tail_bound(2.0, 256, 0.1) == pytest.approx(
         2.0 * 4.0 / (256 * 0.01))
 
 
@@ -153,7 +153,7 @@ def test_sinr_sensitivity_scaling_identity(model):
 @pytest.mark.parametrize("shaping,quant", [
     (md.mf(), ONE_BIT), (md.zf(), ONE_BIT), (md.rzf(0.25), ONE_BIT),
     (md.rzf(1.0), qt.phase_ce(8)),
-    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4, clip=1.6)),
+    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4)),
 ])
 def test_sinr_sensitivity_finite_positive(shaping, quant):
     m = md.asymptotic_model(CFG, shaping, quant)
@@ -181,7 +181,7 @@ def _mean_abs_by_quadrature(model, cfg):
 @pytest.mark.parametrize("sigma2_noise", [1e-3, 0.1, 10.0])
 def test_mean_abs_output_closed_form_matches_quadrature(sigma2_noise):
     cfg = md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=sigma2_noise)
-    for quant in (ONE_BIT, qt.phase_ce(8), qt.uniform_iq(levels=8, step=0.4, clip=1.6)):
+    for quant in (ONE_BIT, qt.phase_ce(8), qt.uniform_iq(levels=8, step=0.4)):
         for shaping in (md.mf(), md.zf(), md.rzf(0.25)):
             m = md.asymptotic_model(cfg, shaping, quant)
             assert bnd.mean_abs_scalar_output(m, cfg) == pytest.approx(

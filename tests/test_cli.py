@@ -66,6 +66,30 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     assert "k_ladder" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("'trials'", lambda text: text.replace("trials = 120", "trials = 0")),
+    ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder = 2")),
+    ("gamma", lambda text: text.replace("gamma = 4.0", "gamma = 0.5")),
+    ("'eps'", lambda text: text.replace("trials = 120", "trials = 120\neps = 0")),
+    ("[grid]", lambda text: text + "[grid]\npoints = 1\n"),
+], ids=["trials", "k_ladder", "gamma", "eps", "grid"])
+def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
+    path = _write_config(tmp_path, "mp-check")
+    path.write_text(edit(path.read_text()))
+    assert cli.main(["run", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_uniform_clip_must_match_grid(tmp_path, capsys):
+    path = _write_config(tmp_path, "tail-audit", k_ladder="64", seeds="1")
+    text = path.read_text().replace("kind = one_bit", "kind = uniform_iq\nlevels = 4\nstep = 0.5")
+    path.write_text(text.replace("step = 0.5", "step = 0.5\nclip = 2.0"))
+    assert cli.main(["run", str(path)]) == 2
+    assert "clip" in capsys.readouterr().err
+    path.write_text(text.replace("step = 0.5", "step = 0.5\nclip = 1.0"))
+    assert cli.main(["run", str(path)]) == 0
+
+
 def test_mp_check_end_to_end(tmp_path):
     path = _write_config(tmp_path, "mp-check", k_ladder="64", seeds="1 2 3")
     assert cli.main(["run", str(path)]) == 0

@@ -77,7 +77,7 @@ def test_sinr_estimate_permutation_invariant(one_bit_q, rzf_shaping):
     (md.mf(), qt.one_bit()),
     (md.zf(), qt.one_bit()),
     (md.rzf(0.25), qt.one_bit()),
-    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4, clip=1.6)),
+    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4)),
     (md.mf(), qt.phase_ce(8)),
 ])
 def test_sinr_bar_two_forms_agree(shaping, quant):

@@ -64,7 +64,7 @@ def test_one_bit_correlation_identity_any_shaping(shaping, one_bit_q):
 @pytest.mark.parametrize("shaping,quant", [
     (md.mf(), qt.one_bit()),
     (md.zf(), qt.one_bit()),
-    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4, clip=1.6)),
+    (md.rzf(0.25), qt.uniform_iq(levels=8, step=0.4)),
     (md.rzf(1.0), qt.phase_ce(8)),
     (md.mf(), qt.phase_ce(4)),
 ])

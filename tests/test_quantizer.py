@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qprec import quantizer as qt
 
 ONE_BIT = qt.one_bit(1.0 / math.sqrt(2.0))
-UNIFORM = qt.uniform_iq(levels=4, step=0.5, clip=1.0)
+UNIFORM = qt.uniform_iq(levels=4, step=0.5)
 PHASE = qt.phase_ce(4, 1.0)
 ALL_KINDS = [ONE_BIT, UNIFORM, PHASE]
 
@@ -19,6 +19,23 @@ finite_complex = st.builds(complex,
 
 def test_one_bit_quadrant_map():
     assert qt.quantize(ONE_BIT, 0.3 - 0.2j) == pytest.approx((1 - 1j) / math.sqrt(2))
+
+
+@pytest.mark.parametrize("amplitude", [1.0 / math.sqrt(2.0), 1.0, 0.3, 2.5, 1e-3, 7.77])
+def test_one_bit_is_two_level_uniform(amplitude):
+    spec = qt.one_bit(amplitude)
+    assert spec == qt.uniform_iq(levels=2, step=2.0 * amplitude)
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.standard_normal(1000) + 1j * rng.standard_normal(1000),
+                        rng.standard_normal(100) + 0j, 1j * rng.standard_normal(100),
+                        [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]])
+
+    def sign_rule(x):  # the one-bit rule per rail; 0 goes to the smaller center
+        return np.where(x > 0, amplitude, -amplitude)
+
+    q = np.asarray(qt.quantize(spec, z))
+    assert np.array_equal(q.real, sign_rule(z.real))
+    assert np.array_equal(q.imag, sign_rule(z.imag))
 
 
 def test_uniform_saturates_to_top_cell_center():
@@ -35,7 +52,7 @@ def test_phase_nearest_sector():
 
 def test_boundary_tie_goes_to_smaller_center():
     # on a rail threshold the lexicographically smaller center wins
-    assert qt.quantize(ONE_BIT, 0.0 + 1j).real == pytest.approx(-ONE_BIT.amplitude)
+    assert qt.quantize(ONE_BIT, 0.0 + 1j).real == pytest.approx(-1.0 / math.sqrt(2.0))
     assert qt.quantize(UNIFORM, 0.5 + 0.1j).real == pytest.approx(0.25)
 
 
@@ -64,9 +81,7 @@ def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         qt.one_bit(0.0)
     with pytest.raises(ValueError):
-        qt.uniform_iq(levels=3, step=0.5, clip=0.75)
-    with pytest.raises(ValueError):
-        qt.uniform_iq(levels=4, step=0.5, clip=2.0)
+        qt.uniform_iq(levels=3, step=0.5)
     with pytest.raises(ValueError):
         qt.phase_ce(1)
 
