@@ -20,9 +20,9 @@ per draw for the finite models, in expectation for the scalar model.
 
 from __future__ import annotations
 
-import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,10 +36,6 @@ from .stochastic import (
     sample_complex_gaussian,
     sample_constellation,
 )
-
-log = logging.getLogger(__name__)
-
-_MAX_RESAMPLE = 3
 
 QPSK = tuple((a + 1j * b) / np.sqrt(2.0) for a, b in ((1, 1), (-1, 1), (-1, -1), (1, -1)))
 
@@ -207,7 +203,16 @@ def scalar_gains_at(moments: ShapedMoments, sigma2_sym: float,
 
 def asymptotic_model(config: SystemConfig, shaping: ShapingFunction,
                      quant: QuantizerSpec) -> ScalarModel:
-    """Scalar limit of the equivalent model for the given shaping/quantizer."""
+    """Scalar limit of the equivalent model for the given shaping/quantizer.
+
+    Memoized: the arguments are frozen, and the solvers revisit members.
+    """
+    return _asymptotic_model(config, shaping, quant)
+
+
+@lru_cache(maxsize=1024)
+def _asymptotic_model(config: SystemConfig, shaping: ShapingFunction,
+                      quant: QuantizerSpec) -> ScalarModel:
     law = config.law
     moments = shaped_moments(shaping, law)
     alpha_bar = float(np.sqrt(config.sigma2_sym * moments.mean_f2 / config.gamma))
@@ -235,7 +240,6 @@ class OriginalBatch:
     s: np.ndarray               # trials x K data vectors
     eta: np.ndarray             # per-draw power scales
     transmit_power: np.ndarray  # eta^2 ||q||^2 / N, the enforced budget
-    resampled: int = 0
 
 
 def simulate_original(config: SystemConfig, shaping: ShapingFunction,
@@ -248,30 +252,23 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
     s_out = np.empty((trials, k), dtype=complex)
     etas = np.empty(trials)
     power = np.empty(trials)
-    resampled = 0
     for t in range(trials):
-        for attempt in range(_MAX_RESAMPLE + 1):
-            ch = sample_channel(config, rng)
-            s = sample_constellation(config.points, k, rng)
-            noise = sample_complex_gaussian(k, config.sigma2_noise, rng)
-            # P s = V f(D)^T U^H s, using only the thin factors.
-            shaped = shaping(ch.d) * (ch.u.conj().T @ s)
-            ps = ch.vh.conj().T @ shaped
-            qx = np.asarray(quantize(quant, ps))
-            qnorm = float(np.linalg.norm(qx))
-            if qnorm > 0:
-                break
-            resampled += 1
-            log.warning("degenerate draw (zero quantized vector), resampling")
-        else:
+        ch = sample_channel(config, rng)
+        s = sample_constellation(config.points, k, rng)
+        noise = sample_complex_gaussian(k, config.sigma2_noise, rng)
+        # P s = V f(D)^T U^H s, using only the thin factors.
+        shaped = shaping(ch.d) * (ch.u.conj().T @ s)
+        ps = ch.vh.conj().T @ shaped
+        qx = np.asarray(quantize(quant, ps))
+        qnorm = float(np.linalg.norm(qx))
+        if qnorm <= 0:
             raise DegenerateDrawError("quantized transmit vector is identically zero")
         eta = np.sqrt(config.power_limit * n) / qnorm
         y[t] = eta * (ch.h @ qx) + noise
         s_out[t] = s
         etas[t] = eta
         power[t] = eta**2 * qnorm**2 / n
-    return OriginalBatch(y=y, s=s_out, eta=etas, transmit_power=power,
-                         resampled=resampled)
+    return OriginalBatch(y=y, s=s_out, eta=etas, transmit_power=power)
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,6 @@ class EquivalentBatch:
     transmit_power: np.ndarray
     y_hat: np.ndarray   # trials x K
     s: np.ndarray       # trials x K
-    resampled: int = 0
 
 
 @dataclass(frozen=True)
@@ -325,11 +321,13 @@ def scale_pair(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
     """
     n, k = config.n, config.k
     s_norm, g1_norm, z1_norm = draw.norms
+    if min(s_norm, g1_norm, z1_norm) <= 0:
+        raise DegenerateDrawError("degenerate draw in the equivalent model")
     shat = np.zeros(n, dtype=complex)
     shat[:k] = (s_norm / g1_norm) * np.asarray(shaping(draw.d)) * draw.g1
     shat_norm = float(np.linalg.norm(shat))
     alpha = shat_norm / z1_norm
-    if min(s_norm, g1_norm, z1_norm, shat_norm) <= 0 or not np.isfinite(alpha):
+    if shat_norm <= 0 or not np.isfinite(alpha):
         raise DegenerateDrawError("degenerate draw in the equivalent model")
     qz = np.asarray(quantize(quant, alpha * draw.z1))
     qz_norm = float(np.linalg.norm(qz))
@@ -374,25 +372,16 @@ def evaluate(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
                       c1=c1, c2=c2, t_s=t_s, t_g=t_g)
 
 
-def _trials(config: SystemConfig, shaping: ShapingFunction, quant: QuantizerSpec,
-            rng: RngStream, trials: int, users: int):
-    """Per trial: draw and evaluate, resampling a degenerate draw, then draw the noise.
+def _trials(config: SystemConfig, rng: RngStream, trials: int, users: int):
+    """Per trial: one raw draw, then the noise of the first ``users`` users.
 
-    Yields (draw, evaluation, resamples, noise of the first ``users`` users).
+    A degenerate draw is not redrawn: ``evaluate`` raises DegenerateDrawError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for _ in range(trials):
-        for attempt in range(_MAX_RESAMPLE + 1):
-            draw = sample_raw_draw(config, rng)
-            try:
-                ev = evaluate(draw, config, shaping, quant)
-                break
-            except DegenerateDrawError as exc:
-                log.warning("%s, resampling", exc)
-        else:
-            raise DegenerateDrawError("equivalent-model draw degenerate after retries")
-        yield draw, ev, attempt, sample_complex_gaussian(users, config.sigma2_noise, rng)
+        draw = sample_raw_draw(config, rng)
+        yield draw, sample_complex_gaussian(users, config.sigma2_noise, rng)
 
 
 def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
@@ -409,10 +398,8 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
                transmit_power=np.empty(trials),
                y_hat=np.empty((trials, k), dtype=complex),
                s=np.empty((trials, k), dtype=complex))
-    resampled = 0
-    for t, (draw, ev, attempt, noise) in enumerate(
-            _trials(config, shaping, quant, rng, trials, users=k)):
-        resampled += attempt
+    for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=k)):
+        ev = evaluate(draw, config, shaping, quant)
         out["signal_gain"][t] = ev.t_s
         out["interference_gain"][t] = ev.t_g
         out["linear_gain"][t] = ev.c1
@@ -422,7 +409,7 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
         out["transmit_power"][t] = ev.eta ** 2 * ev.qnorm ** 2 / config.n
         out["y_hat"][t] = ev.eta * (ev.t_s * draw.s + ev.t_g * draw.g2) + noise
         out["s"][t] = draw.s
-    return EquivalentBatch(resampled=resampled, **out)
+    return EquivalentBatch(**out)
 
 
 def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStream,
@@ -478,16 +465,31 @@ class CoupledModel:
 
     def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
         """Samples of user 0; every user of a draw has the same law."""
-        model = self.scalar
-        out = {name: np.empty(trials, dtype=complex)
-               for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
-        out |= {name: np.empty(trials)
-                for name in ("interference_gain", "input_scale", "power_scale")}
-        for t, (draw, ev, _, noise) in enumerate(
-                _trials(self.config, self.shaping, self.quant, rng, trials, users=1)):
-            s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
-            ts_mid, tg_mid, _, _ = scalar_gains_at(model.moments, self.config.sigma2_sym,
-                                                   gaussian_moments(self.quant, ev.alpha))
+        return sample_coupled([self], rng, trials)[0]
+
+
+def sample_coupled(models: Sequence[CoupledModel], rng: RngStream,
+                   trials: int) -> list[CoupledSamples]:
+    """Samples of user 0 under every model, all on the same draws.
+
+    Each trial draws one RawDraw and its noise, as one model's ``sample`` does,
+    and evaluates every model on them: common random numbers, one spectrum.
+    """
+    config = models[0].config
+    if any(m.config != config for m in models):
+        raise ValueError("coupled models must share one system config")
+    outs = [{name: np.empty(trials, dtype=complex)
+             for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
+            | {name: np.empty(trials)
+               for name in ("interference_gain", "input_scale", "power_scale")}
+            for _ in models]
+    for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=1)):
+        s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
+        for m, out in zip(models, outs):
+            ev = evaluate(draw, config, m.shaping, m.quant)
+            model = m.scalar
+            ts_mid, tg_mid, _, _ = scalar_gains_at(model.moments, model.sigma2_sym,
+                                                   gaussian_moments(m.quant, ev.alpha))
             out["s"][t] = s_k
             out["y_hat"][t] = ev.eta * (ev.t_s * s_k + ev.t_g * g2_k) + n_k
             out["y_bar"][t] = model.power_scale * (model.signal_gain * s_k
@@ -498,7 +500,7 @@ class CoupledModel:
             out["interference_gain"][t] = ev.t_g
             out["input_scale"][t] = ev.alpha
             out["power_scale"][t] = ev.eta
-        return CoupledSamples(**out)
+    return [CoupledSamples(**out) for out in outs]
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,

@@ -28,6 +28,7 @@ from .models import (
     functional_models,
     mf,
     rzf,
+    sample_coupled,
     sample_raw_draw,
     scale_pair,
     zf,
@@ -150,16 +151,17 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
                  seed: int, trials: int) -> SolveResult:
     """Maximize the estimated finite-dimensional SINR over the grid.
 
-    Common random numbers: every member re-seeds the identical stream, so
-    grid points see the same underlying channel/noise draws.
+    Common random numbers: every member is evaluated on the same draws of
+    one stream, so grid points see the same underlying channel/noise draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    members = grid.members()
+    coupled = [functional_models(config, f, quant) for f in members]
     profile = []
     best = None
     best_val = -math.inf
-    for f in grid.members():
-        samples = functional_models(config, f, quant).sample(RngStream(seed, 0), trials)
+    for f, samples in zip(members, sample_coupled(coupled, RngStream(seed, 0), trials)):
         try:
             est = sinr_from_samples(samples.y_hat, samples.s, config.sigma2_sym)
         except UnstableEstimateError:
@@ -198,12 +200,12 @@ def optimal_gap_report(config: SystemConfig, quant: QuantizerSpec, grid: FamilyG
     fin = solve_finite(config, quant, grid, seed=seed, trials=trials)
     gap = abs(fin.value - asym.value)
 
+    coupled = [functional_models(config, f, quant) for f in grid.members()]
     sup_dev = 0.0
     l_rho = 0.0
-    for f in grid.members():
-        coupled = functional_models(config, f, quant)
-        l_rho = max(l_rho, sinr_sensitivity(config, coupled.scalar))
-        samples = coupled.sample(RngStream(seed, 1), max(200, trials // 4))
+    for c, samples in zip(coupled, sample_coupled(coupled, RngStream(seed, 1),
+                                                  max(200, trials // 4))):
+        l_rho = max(l_rho, sinr_sensitivity(config, c.scalar))
         dev = (l2_deviation(samples.y_hat, samples.y_bar).value
                + l2_deviation(samples.y_mid, samples.y_bar).value)
         sup_dev = max(sup_dev, dev)

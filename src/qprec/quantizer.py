@@ -127,16 +127,6 @@ def identity_like() -> QuantizerSpec:
 # ---------------------------------------------------------------------------
 
 
-def _rail_quantize(spec: QuantizerSpec, x: np.ndarray) -> np.ndarray:
-    # Mid-rise: cell k = (step*k, step*(k+1)], center step*(k+1/2); with
-    # k = ceil(x/step) - 1 threshold points go to the lower cell (the tie rule).
-    centers = spec.step * (np.ceil(x / spec.step) - 0.5)
-    top = spec.clip - spec.step / 2.0
-    # minimum/maximum rather than np.clip, whose scalar-bound overhead
-    # dominates on the short rails of one draw.
-    return np.minimum(np.maximum(centers, -top), top)
-
-
 def _phase_sector(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
     width = 2.0 * np.pi / spec.phases
     t = np.angle(z) / width
@@ -163,7 +153,11 @@ def quantize(spec: QuantizerSpec, z: np.ndarray | complex) -> np.ndarray | compl
         m = _phase_sector(spec, arr)
         out = spec.radius * np.exp(1j * (2.0 * np.pi / spec.phases) * m)
     else:
-        out = _rail_quantize(spec, arr.real) + 1j * _rail_quantize(spec, arr.imag)
+        # Mid-rise: cell i is (t[i-1], t[i]] over the thresholds t, so a threshold
+        # point goes to the lower cell (the tie rule), whatever the rounding of x/step.
+        thr, vals = spec.rail_thresholds(), spec.rail_values()
+        out = (vals[np.searchsorted(thr, arr.real, side="left")]
+               + 1j * vals[np.searchsorted(thr, arr.imag, side="left")])
     return out if np.ndim(z) else complex(out[0])
 
 

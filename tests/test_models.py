@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from qprec import models as md
 from qprec import quantizer as qt
 from qprec.optimizer import sigma_asymptotic
 from qprec.spectral import mp_moment
-from qprec.stochastic import RngStream
+from qprec.stochastic import DegenerateDrawError, RngStream
 
 
 def test_config_validation():
@@ -221,3 +222,31 @@ def test_l2_deviation_shrinks_with_k(one_bit_q, rzf_shaping):
         samples = coupled.sample(RngStream(9, k), 300)
         devs.append(float(np.mean(np.abs(samples.y_hat - samples.y_bar) ** 2)) ** 0.5)
     assert devs[1] < devs[0]
+
+
+@pytest.mark.parametrize("quant", [qt.one_bit(1.0 / math.sqrt(2.0)), qt.phase_ce(8)],
+                         ids=["one_bit", "phase_ce8"])
+def test_shared_draw_sampler_matches_each_model_alone(quant):
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0, sigma2_noise=0.1)
+    coupled = [md.functional_models(cfg, f, quant) for f in (md.mf(), md.zf(), md.rzf(0.25))]
+    for seed in (1, 2):
+        together = md.sample_coupled(coupled, RngStream(seed, 0), 30)
+        for c, joint in zip(coupled, together):
+            alone = c.sample(RngStream(seed, 0), 30)
+            for f in dataclasses.fields(md.CoupledSamples):
+                a, b = getattr(alone, f.name), getattr(joint, f.name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+
+
+def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_config,
+                                                 monkeypatch):
+    good = md.sample_raw_draw(small_config, RngStream(3, 0))
+    bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
+    with pytest.raises(DegenerateDrawError):
+        md.evaluate(bad, small_config, rzf_shaping, one_bit_q)
+    calls = []
+    monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
+    coupled = md.functional_models(small_config, rzf_shaping, one_bit_q)
+    with pytest.raises(DegenerateDrawError):
+        coupled.sample(RngStream(3, 0), 5)
+    assert len(calls) == 1

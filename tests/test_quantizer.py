@@ -56,6 +56,23 @@ def test_boundary_tie_goes_to_smaller_center():
     assert qt.quantize(UNIFORM, 0.5 + 0.1j).real == pytest.approx(0.25)
 
 
+def test_tie_rule_holds_at_an_inexact_step():
+    # 0.1 is not exact in binary: the threshold 0.1*3 rounds to 0.30000000000000004,
+    # where x/step rounds up past 3.  Every threshold still goes to its lower cell.
+    spec = qt.uniform_iq(8, 0.1)
+    thresholds, values = spec.rail_thresholds(), spec.rail_values()
+    q = np.asarray(qt.quantize(spec, thresholds + 1j * thresholds))
+    assert np.array_equal(q.real, values[:-1])
+    assert np.array_equal(q.imag, values[:-1])
+    assert qt.quantize(spec, thresholds[-1] + 0j).real == values[-2] == 0.1 * 2.5
+
+
+def test_subnormal_input_keeps_its_sign():
+    # x/step underflows to 0 here; the sign of x still picks the cell.
+    spec = qt.one_bit(7.77)
+    assert qt.quantize(spec, complex(5e-324, -5e-324)) == complex(7.77, -7.77)
+
+
 @settings(max_examples=80, deadline=None)
 @given(finite_complex, st.sampled_from(range(len(ALL_KINDS))))
 def test_idempotence(z, kind_idx):
