@@ -20,8 +20,9 @@ per draw for the finite models, in expectation for the scalar model.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -32,6 +33,8 @@ from .stochastic import (
     DegenerateDrawError,
     RngStream,
     complement_embed,
+    complement_project,
+    complex_norm,
     reflect,
     sample_complex_gaussian,
     sample_constellation,
@@ -76,9 +79,12 @@ class SystemConfig:
     def sigma2_sym(self) -> float:
         return float(np.mean(np.abs(np.asarray(self.constellation)) ** 2))
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.asarray(self.constellation, dtype=complex)
+        """The constellation as a read-only array, built once per config."""
+        points = np.asarray(self.constellation, dtype=complex)
+        points.setflags(write=False)
+        return points
 
     @property
     def law(self) -> MpLaw:
@@ -193,12 +199,18 @@ class DegenerateQuantizerError(RuntimeError):
 
 def scalar_gains_at(moments: ShapedMoments, sigma2_sym: float,
                     gm: GaussianMoments) -> tuple[float, float, complex, float]:
-    """(signal gain, interference gain, linear gain, distortion rms) at the scale of gm."""
+    """(signal gain, interference gain, linear gain, distortion rms) at the scale of gm.
+
+    gm may hold arrays of scales; the fields of ``moments`` then broadcast
+    against them and the gains come back as arrays.
+    """
     c1 = gm.linear_gain
     c2 = gm.distortion_rms
-    ts = c1 * moments.mean_df
-    tg = np.sqrt(sigma2_sym * abs(c1) ** 2 * moments.var_df + c2 * c2)
-    return float(np.real(ts)), float(tg), c1, c2
+    ts = np.real(c1 * moments.mean_df)
+    tg = np.sqrt(sigma2_sym * gm.gain_power * moments.var_df + c2 * c2)
+    if np.ndim(tg):
+        return ts, tg, c1, c2
+    return float(ts), float(tg), c1, c2
 
 
 def asymptotic_model(config: SystemConfig, shaping: ShapingFunction,
@@ -298,7 +310,7 @@ class RawDraw:
     @cached_property
     def norms(self) -> tuple[float, float, float]:
         """(||s||, ||g1||, ||z1||), shared by every evaluation of this draw."""
-        return tuple(float(np.linalg.norm(v)) for v in (self.s, self.g1, self.z1))
+        return tuple(complex_norm(v) for v in (self.s, self.g1, self.z1))
 
 
 def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
@@ -311,65 +323,97 @@ def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
                    s=sample_constellation(config.points, k, rng))
 
 
-def scale_pair(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
-               quant: QuantizerSpec) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """First stage of an evaluation: (alpha, eta, q(alpha z1), shat) of one draw.
+# At large N a grid is evaluated in consecutive blocks of at most 2**14 (member, entry)
+# pairs, 256 kB of complex per (members x N) array, so peak memory does not grow
+# with the grid.
+_BLOCK_ENTRIES = 2**14
 
-    shat is the shaped precoder input embedded in C^N, so alpha = ||shat|| / ||z1||
-    and eta enforces the power budget on this draw.  Raises DegenerateDrawError
-    when a norm vanishes.
+
+def member_blocks(shapings: Sequence[ShapingFunction],
+                  n: int) -> list[Sequence[ShapingFunction]]:
+    """Consecutive runs of ``shapings`` that are evaluated as one block at dimension n."""
+    rows = max(1, _BLOCK_ENTRIES // n)
+    return [shapings[i:i + rows] for i in range(0, len(shapings), rows)]
+
+
+def scale_pair(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunction],
+               quant: QuantizerSpec) -> tuple[list[float], list[float], list[float],
+                                              np.ndarray, np.ndarray]:
+    """First stage of a block evaluation: (alpha, eta, ||q||, q(alpha z1), shat).
+
+    Entry or row i belongs to ``shapings[i]``.  shat is the shaped precoder
+    input embedded in C^N (zero past column K), so alpha = ||shat|| / ||z1||,
+    and eta enforces the power budget on this draw.  One quantize call covers
+    the block.  Raises DegenerateDrawError when a norm vanishes for any member.
     """
     n, k = config.n, config.k
     s_norm, g1_norm, z1_norm = draw.norms
     if min(s_norm, g1_norm, z1_norm) <= 0:
         raise DegenerateDrawError("degenerate draw in the equivalent model")
-    shat = np.zeros(n, dtype=complex)
-    shat[:k] = (s_norm / g1_norm) * np.asarray(shaping(draw.d)) * draw.g1
-    shat_norm = float(np.linalg.norm(shat))
-    alpha = shat_norm / z1_norm
-    if shat_norm <= 0 or not np.isfinite(alpha):
+    shat = np.zeros((len(shapings), n), dtype=complex)
+    for row, f in zip(shat, shapings):
+        np.multiply((s_norm / g1_norm) * np.asarray(f(draw.d)), draw.g1, out=row[:k])
+    shat_norm = complex_norm(shat)
+    alpha = [x / z1_norm for x in shat_norm]
+    if min(shat_norm) <= 0 or not all(map(math.isfinite, alpha)):
         raise DegenerateDrawError("degenerate draw in the equivalent model")
-    qz = np.asarray(quantize(quant, alpha * draw.z1))
-    qz_norm = float(np.linalg.norm(qz))
-    if qz_norm <= 0:
+    qz = quantize(quant, np.multiply.outer(alpha, draw.z1))
+    qz_norm = complex_norm(qz)
+    if min(qz_norm) <= 0:
         raise DegenerateDrawError("degenerate quantized draw")
-    return alpha, float(np.sqrt(config.power_limit * n) / qz_norm), qz, shat
+    budget = np.sqrt(config.power_limit * n)
+    return alpha, [float(budget / x) for x in qz_norm], qz_norm, qz, shat
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One raw draw evaluated under one (shaping, quantizer)."""
+    """One raw draw evaluated under a block of shapings; one entry per shaping."""
 
-    alpha: float    # input scale
-    eta: float      # power scale
-    qnorm: float    # ||q(alpha z1)||
-    c1: complex     # linear gain
-    c2: float       # distortion rms
-    t_s: complex    # signal gain
-    t_g: float      # interference gain
+    alpha: list[float]    # input scale
+    eta: list[float]      # power scale
+    qnorm: list[float]    # ||q(alpha z1)||
+    c1: list[complex]     # linear gain
+    c2: list[float]       # distortion rms
+    t_s: list[complex]    # signal gain
+    t_g: list[float]      # interference gain
 
 
-def evaluate(draw: RawDraw, config: SystemConfig, shaping: ShapingFunction,
+def evaluate(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunction],
              quant: QuantizerSpec) -> Evaluation:
-    """Equivalent-model gains of one draw; raises DegenerateDrawError on degeneracy."""
-    alpha, eta, qz, shat = scale_pair(draw, config, shaping, quant)
+    """Equivalent-model gains of one draw under every shaping of a block.
+
+    The shapings share ``quant``.  The vector work runs once over the block:
+    one quantize call, one reflector set-up each for z1, g1 and s, and one
+    np.vecdot call per dot product.  Each member's scalars follow the
+    arithmetic of a block of one, so every entry equals its shaping's
+    evaluation alone, bit for bit.  A grid larger than one block (see
+    ``member_blocks``) is evaluated block by block.  Raises DegenerateDrawError
+    on degeneracy.
+    """
+    if len(shapings) * config.n > _BLOCK_ENTRIES:
+        parts = [vars(evaluate(draw, config, block, quant))
+                 for block in member_blocks(shapings, config.n)]
+        return Evaluation(**{name: [x for part in parts for x in part[name]] for name in parts[0]})
+    alpha, eta, qnorm, qz, shat = scale_pair(draw, config, shapings, quant)
     d, g1, z1, z2_tail, k = draw.d, draw.g1, draw.z1, draw.z2[1:], config.k
     s_norm, g1_norm, z1_norm = draw.norms
-    c1 = complex(np.vdot(z1, qz) / (alpha * z1_norm**2))
-    c2 = float(np.linalg.norm(reflect(z1, qz)[1:]) / np.linalg.norm(z2_tail))
+    z1_sq = z1_norm**2
+    c1 = [complex(dot / (a * z1_sq)) for dot, a in zip(np.vecdot(z1, qz), alpha)]
+    z2_norm = complex_norm(z2_tail)
+    c2 = [x / z2_norm for x in complex_norm(complement_project(z1, qz))]
+    del qz  # freed before the next (members x N) arrays, to bound peak memory
     # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K rows.
-    mixed = complement_embed(shat, z2_tail)[:k]
-    w = c1 * d * shat[:k] + c2 * d * mixed
+    mixed = complement_embed(shat, z2_tail)[:, :k]
+    w = np.multiply.outer(c1, d) * shat[:, :k] + np.multiply.outer(c2, d) * mixed
     # R(s) g2 = (s^H g2 / ||s||, B(s)^H g2): the split of g2 along s and its complement.
     g2_rot = reflect(draw.s, draw.g2)
-    denom = float(np.linalg.norm(g2_rot[1:]))
+    denom = complex_norm(g2_rot[1:])
     if denom <= 0:
         raise DegenerateDrawError("degenerate rotated interference draw")
-    t_g = float(np.linalg.norm(reflect(g1, w)[1:]) / denom)
-    t_s = complex(np.vdot(g1, w) / (g1_norm * s_norm)
-                  - t_g * g2_rot[0] / s_norm)
-    return Evaluation(alpha=alpha, eta=eta, qnorm=float(np.linalg.norm(qz)),
-                      c1=c1, c2=c2, t_s=t_s, t_g=t_g)
+    t_g = [x / denom for x in complex_norm(complement_project(g1, w))]
+    t_s = [complex(dot / (g1_norm * s_norm) - tg * g2_rot[0] / s_norm)
+           for dot, tg in zip(np.vecdot(g1, w), t_g)]
+    return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1, c2=c2, t_s=t_s, t_g=t_g)
 
 
 def _trials(config: SystemConfig, rng: RngStream, trials: int, users: int):
@@ -399,15 +443,16 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
                y_hat=np.empty((trials, k), dtype=complex),
                s=np.empty((trials, k), dtype=complex))
     for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=k)):
-        ev = evaluate(draw, config, shaping, quant)
-        out["signal_gain"][t] = ev.t_s
-        out["interference_gain"][t] = ev.t_g
-        out["linear_gain"][t] = ev.c1
-        out["distortion_rms"][t] = ev.c2
-        out["input_scale"][t] = ev.alpha
-        out["power_scale"][t] = ev.eta
-        out["transmit_power"][t] = ev.eta ** 2 * ev.qnorm ** 2 / config.n
-        out["y_hat"][t] = ev.eta * (ev.t_s * draw.s + ev.t_g * draw.g2) + noise
+        ev = evaluate(draw, config, [shaping], quant)
+        (alpha, eta, qnorm, c1, c2, t_s, t_g), = zip(*vars(ev).values())
+        out["signal_gain"][t] = t_s
+        out["interference_gain"][t] = t_g
+        out["linear_gain"][t] = c1
+        out["distortion_rms"][t] = c2
+        out["input_scale"][t] = alpha
+        out["power_scale"][t] = eta
+        out["transmit_power"][t] = eta ** 2 * qnorm ** 2 / config.n
+        out["y_hat"][t] = eta * (t_s * draw.s + t_g * draw.g2) + noise
         out["s"][t] = draw.s
     return EquivalentBatch(**out)
 
@@ -473,34 +518,44 @@ def sample_coupled(models: Sequence[CoupledModel], rng: RngStream,
     """Samples of user 0 under every model, all on the same draws.
 
     Each trial draws one RawDraw and its noise, as one model's ``sample`` does,
-    and evaluates every model on them: common random numbers, one spectrum.
+    and evaluates every model on them as one block: common random numbers, one
+    spectrum, one quantize call.  The models share one config and one
+    quantizer.  ``y_mid``'s moments come from one call over all trials' scales.
     """
-    config = models[0].config
+    if not models:
+        raise ValueError("need at least one coupled model")
+    config, quant = models[0].config, models[0].quant
     if any(m.config != config for m in models):
         raise ValueError("coupled models must share one system config")
-    outs = [{name: np.empty(trials, dtype=complex)
-             for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
-            | {name: np.empty(trials)
-               for name in ("interference_gain", "input_scale", "power_scale")}
-            for _ in models]
+    if any(m.quant != quant for m in models):
+        raise ValueError("coupled models must share one quantizer")
+    shapings = [m.shaping for m in models]
+    # Row i of each (members x trials) array belongs to models[i].
+    user = np.empty((3, trials), dtype=complex)  # s, g2 and noise of user 0
+    alpha, eta, t_g = (np.empty((len(models), trials)) for _ in range(3))
+    t_s, y_hat = (np.empty((len(models), trials), dtype=complex) for _ in range(2))
     for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=1)):
+        ev = evaluate(draw, config, shapings, quant)
         s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
-        for m, out in zip(models, outs):
-            ev = evaluate(draw, config, m.shaping, m.quant)
-            model = m.scalar
-            ts_mid, tg_mid, _, _ = scalar_gains_at(model.moments, model.sigma2_sym,
-                                                   gaussian_moments(m.quant, ev.alpha))
-            out["s"][t] = s_k
-            out["y_hat"][t] = ev.eta * (ev.t_s * s_k + ev.t_g * g2_k) + n_k
-            out["y_bar"][t] = model.power_scale * (model.signal_gain * s_k
-                                                   + model.interference_gain * g2_k) + n_k
-            out["y_mid"][t] = ev.eta * (ts_mid * s_k + tg_mid * g2_k) + n_k
-            out["signal_gain"][t] = ev.t_s
-            out["g2_user"][t] = g2_k
-            out["interference_gain"][t] = ev.t_g
-            out["input_scale"][t] = ev.alpha
-            out["power_scale"][t] = ev.eta
-    return [CoupledSamples(**out) for out in outs]
+        user[:, t] = s_k, g2_k, n_k
+        # Scalar by scalar: numpy's array product of complex arrays fuses
+        # multiply-adds and rounds differently.
+        y_hat[:, t] = [e * (ts * s_k + tg * g2_k) + n_k
+                       for e, ts, tg in zip(ev.eta, ev.t_s, ev.t_g)]
+        alpha[:, t], eta[:, t], t_s[:, t], t_g[:, t] = ev.alpha, ev.eta, ev.t_s, ev.t_g
+    s, g2, noise = user
+    # Each limit quantity as a (members x 1) column, broadcast over the trials.
+    moments = ShapedMoments(*np.array([astuple(m.scalar.moments) for m in models]).T[..., None])
+    ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,
+                                           gaussian_moments(quant, alpha))
+    y_mid = eta * (ts_mid * s + tg_mid * g2) + noise
+    power, ts_bar, tg_bar = np.array([[m.scalar.power_scale, m.scalar.signal_gain,
+                                       m.scalar.interference_gain] for m in models]).T[..., None]
+    y_bar = power * (ts_bar * s + tg_bar * g2) + noise
+    return [CoupledSamples(s=s, y_hat=y_hat[i], y_bar=y_bar[i], y_mid=y_mid[i],
+                           signal_gain=t_s[i], g2_user=g2, interference_gain=t_g[i],
+                           input_scale=alpha[i], power_scale=eta[i])
+            for i in range(len(models))]
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,

@@ -26,6 +26,7 @@ from .models import (
     SystemConfig,
     asymptotic_model,
     functional_models,
+    member_blocks,
     mf,
     rzf,
     sample_coupled,
@@ -92,8 +93,8 @@ def sigma_asymptotic(shaping: ShapingFunction, config: SystemConfig,
 
 def sigma_finite(shaping: ShapingFunction, draw: RawDraw, config: SystemConfig,
                  quant: QuantizerSpec) -> SigmaPair:
-    alpha, eta, _, _ = scale_pair(draw, config, shaping, quant)
-    return SigmaPair(eta=eta, alpha=alpha)
+    alpha, eta, *_ = scale_pair(draw, config, [shaping], quant)
+    return SigmaPair(eta=eta[0], alpha=alpha[0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,16 +180,23 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
 
 def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
                           grid: FamilyGrid, rng: RngStream, trials: int) -> float:
-    """Monte-Carlo estimate of E max over the grid of |finite - limit| scales."""
+    """Monte-Carlo estimate of E max over the grid of |finite - limit| scales.
+
+    Each draw's scale pairs come from one ``scale_pair`` block per member block.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     members = grid.members()
-    limits = {f.label: sigma_asymptotic(f, config, quant) for f in members}
+    limits = [sigma_asymptotic(f, config, quant) for f in members]
+    blocks = member_blocks(members, config.n)
     total = 0.0
     for _ in range(trials):
         draw = sample_raw_draw(config, rng)
+        pairs = [pair for block in blocks
+                 for pair in zip(*scale_pair(draw, config, block, quant)[:2])]
         worst = 0.0
-        for f in members:
-            fin = sigma_finite(f, draw, config, quant)
-            worst = max(worst, fin.distance(limits[f.label]))
+        for (alpha, eta), limit in zip(pairs, limits):
+            worst = max(worst, SigmaPair(eta=eta, alpha=alpha).distance(limit))
         total += worst
     return total / trials
 

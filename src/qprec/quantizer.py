@@ -20,6 +20,9 @@ measure zero; the rule only pins determinism for tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
+
 import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
@@ -77,16 +80,30 @@ class QuantizerSpec:
     # -- scalar rail structure (separable kinds) ----------------------------
 
     def rail_thresholds(self) -> np.ndarray:
-        if self.kind == "uniform_iq":
-            half = self.levels // 2
-            return self.step * np.arange(-(half - 1), half)
-        raise ValueError("phase quantizers have no per-rail structure")
+        return self._rails[0]
 
     def rail_values(self) -> np.ndarray:
-        if self.kind == "uniform_iq":
-            half = self.levels // 2
-            return self.step * (np.arange(-half, half) + 0.5)
-        raise ValueError("phase quantizers have no per-rail structure")
+        return self._rails[1]
+
+    @cached_property
+    def _phase_points(self) -> np.ndarray:
+        """phase_ce: the output at each sector index m in [-phases, phases], read-only."""
+        m = np.arange(-self.phases, self.phases + 1, dtype=float)
+        points = self.radius * np.exp(1j * (2.0 * np.pi / self.phases) * m)
+        points.setflags(write=False)
+        return points
+
+    @cached_property
+    def _rails(self) -> tuple[np.ndarray, np.ndarray]:
+        """(thresholds, cell values) of one rail, built once per spec and read-only."""
+        if self.kind != "uniform_iq":
+            raise ValueError("phase quantizers have no per-rail structure")
+        half = self.levels // 2
+        rails = (self.step * np.arange(-(half - 1), half),
+                 self.step * (np.arange(-half, half) + 0.5))
+        for rail in rails:
+            rail.setflags(write=False)
+        return rails
 
 
 def _check_component(component: str) -> None:
@@ -129,10 +146,10 @@ def identity_like() -> QuantizerSpec:
 
 def _phase_sector(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
     width = 2.0 * np.pi / spec.phases
-    t = np.angle(z) / width
-    m = np.floor(t + 0.5)
-    on_boundary = (t + 0.5) == m
-    if np.any(on_boundary):
+    shifted = np.arctan2(z.imag, z.real) / width + 0.5  # np.angle(z) / width + 0.5
+    m = np.floor(shifted)
+    on_boundary = shifted == m
+    if on_boundary.any():
         # Boundary angles: compare the two adjacent centers lexicographically.
         mb = m[on_boundary]
         lo, hi = mb - 1.0, mb
@@ -145,19 +162,19 @@ def _phase_sector(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
 
 
 def quantize(spec: QuantizerSpec, z: np.ndarray | complex) -> np.ndarray | complex:
-    """Apply the quantizer component-wise; scalar in, scalar out."""
+    """Apply the quantizer component-wise (any array shape); scalar in, scalar out."""
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("quantizer input must be finite")
     if spec.kind == "phase_ce":
-        m = _phase_sector(spec, arr)
-        out = spec.radius * np.exp(1j * (2.0 * np.pi / spec.phases) * m)
+        out = spec._phase_points[(_phase_sector(spec, arr) + spec.phases).astype(np.intp)]
     else:
         # Mid-rise: cell i is (t[i-1], t[i]] over the thresholds t, so a threshold
         # point goes to the lower cell (the tie rule), whatever the rounding of x/step.
-        thr, vals = spec.rail_thresholds(), spec.rail_values()
-        out = (vals[np.searchsorted(thr, arr.real, side="left")]
-               + 1j * vals[np.searchsorted(thr, arr.imag, side="left")])
+        thr, vals = spec._rails
+        out = np.empty(arr.shape, dtype=complex)
+        for rail, part in ((out.real, arr.real), (out.imag, arr.imag)):
+            vals.take(np.searchsorted(thr, part, side="left"), out=rail, mode="clip")
     return out if np.ndim(z) else complex(out[0])
 
 
@@ -166,65 +183,94 @@ def quantize(spec: QuantizerSpec, z: np.ndarray | complex) -> np.ndarray | compl
 # ---------------------------------------------------------------------------
 
 
+def _squared(x: float | np.ndarray) -> float | np.ndarray:
+    """x ** 2 by Python's float power, entry by entry for an array.
+
+    That power is libm's pow, which rounds differently from numpy's x * x in
+    about one case in a thousand; the array forms must match the scalar ones
+    bit for bit.
+    """
+    if np.ndim(x) == 0:
+        return x ** 2
+    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class GaussianMoments:
     """Input/output moments of the quantizer under CN(0, alpha^2) input.
 
     ``ezq`` is E[Z^dag q(alpha Z)] for Z ~ CN(0,1); ``eq2`` is E|q(alpha Z)|^2.
     ``linear_gain`` (ezq/alpha) is the effective Bussgang-type gain and
-    ``distortion_rms`` the root residual power after removing it.
+    ``distortion_rms`` the root residual power after removing it.  Built from
+    an array of alpha, every field is an array of its shape and ``ezq`` is
+    real (it is real for every kind here).
     """
 
-    alpha: float
-    ezq: complex
-    eq2: float
+    alpha: float | np.ndarray
+    ezq: complex | np.ndarray
+    eq2: float | np.ndarray
 
     @property
-    def linear_gain(self) -> complex:
+    def linear_gain(self) -> complex | np.ndarray:
         return self.ezq / self.alpha
 
     @property
-    def distortion_rms(self) -> float:
-        resid = self.eq2 - abs(self.ezq) ** 2
-        if resid < -1e-12:
+    def gain_power(self) -> float | np.ndarray:
+        """|linear_gain|^2, rounded as abs(linear_gain) ** 2."""
+        return _squared(abs(self.linear_gain))
+
+    @property
+    def distortion_rms(self) -> float | np.ndarray:
+        resid = self.eq2 - _squared(abs(self.ezq))
+        if np.any(resid < -1e-12):
             raise ValueError("second moment below squared correlation")
-        return float(np.sqrt(max(resid, 0.0)))
+        rms = np.sqrt(np.maximum(resid, 0.0))
+        return rms if np.ndim(rms) else float(rms)
 
 
-def _separable_rail_moments(spec: QuantizerSpec, alpha: float) -> tuple[float, float]:
-    """(E[Y qr(Y)], E[qr(Y)^2]) for Y ~ N(0, alpha^2/2), in closed form."""
-    s = alpha / np.sqrt(2.0)
-    thr = spec.rail_thresholds()
-    vals = spec.rail_values()
+def _separable_rail_moments(spec: QuantizerSpec,
+                            alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E[Y qr(Y)], E[qr(Y)^2]) for Y ~ N(0, alpha^2/2), in closed form, per entry of alpha."""
+    thr, vals = spec._rails
     edges = np.concatenate([[-np.inf], thr, [np.inf]])
-    z = edges / s
-    pdf = np.where(np.isfinite(z), np.exp(-0.5 * z * z) / (s * np.sqrt(2.0 * np.pi)), 0.0)
-    cdf = ndtr(np.where(np.isfinite(z), z, np.sign(z) * 40.0))
-    # int_{I_j} y phi(y) dy = s^2 (phi(lo) - phi(hi)) on each cell I_j.
-    first = float(np.sum(vals * (s * s) * (pdf[:-1] - pdf[1:])))
-    second = float(np.sum(vals * vals * (cdf[1:] - cdf[:-1])))
+    first, second = np.empty(alpha.shape), np.empty(alpha.shape)
+    # Blocks of entries keep the (entries x cells) temporaries small.
+    flat_alpha, flat_first, flat_second = alpha.reshape(-1), first.reshape(-1), second.reshape(-1)
+    rows = max(1, 2**15 // edges.size)
+    for lo in range(0, flat_alpha.size, rows):
+        s = flat_alpha[lo:lo + rows, None] / np.sqrt(2.0)
+        z = edges / s
+        pdf = np.where(np.isfinite(z), np.exp(-0.5 * z * z) / (s * np.sqrt(2.0 * np.pi)), 0.0)
+        cdf = ndtr(np.where(np.isfinite(z), z, np.sign(z) * 40.0))
+        # int_{I_j} y phi(y) dy = s^2 (phi(lo) - phi(hi)) on each cell I_j.
+        flat_first[lo:lo + rows] = np.sum(vals * (s * s) * (pdf[:, :-1] - pdf[:, 1:]), axis=-1)
+        flat_second[lo:lo + rows] = np.sum(vals * vals * (cdf[:, 1:] - cdf[:, :-1]), axis=-1)
     return first, second
 
 
-def gaussian_moments(spec: QuantizerSpec, alpha: float) -> GaussianMoments:
-    """Moments of q under CN(0, alpha^2) input.
+def gaussian_moments(spec: QuantizerSpec, alpha: float | np.ndarray) -> GaussianMoments:
+    """Moments of q under CN(0, alpha^2) input, for one alpha or an array of them.
 
     Separable kinds use the analytic error-function pieces; phase quantizers
-    have a closed form that does not depend on alpha.
+    have a closed form that does not depend on alpha.  Each entry of an array
+    call equals the scalar call at that alpha bit for bit.
     """
-    if not np.isfinite(alpha) or alpha <= 0:
+    a = np.asarray(alpha, dtype=float)
+    if not np.all(np.isfinite(a)) or np.any(a <= 0):
         raise ValueError("alpha must be positive")
     if spec.kind == "uniform_iq":
-        eyq, eq2_rail = _separable_rail_moments(spec, alpha)
+        eyq, eq2_rail = _separable_rail_moments(spec, a)
         # E[Z^dag q(aZ)] = 2 E[X qr(aX)] = (2/a) E[Y qr(Y)], Y = aX.
-        ezq = complex(2.0 * eyq / alpha)
-        return GaussianMoments(alpha=alpha, ezq=ezq, eq2=2.0 * eq2_rail)
-
-    # |q| = radius and the phase error is uniform on a sector, independent of
-    # |Z|: E[Z^dag q(aZ)] = radius * E|Z| * E cos(error), E|Z| = sqrt(pi)/2.
-    m = spec.phases
-    ezq = spec.radius * (_SQRT_PI / 2.0) * (m / np.pi) * np.sin(np.pi / m)
-    return GaussianMoments(alpha=alpha, ezq=complex(ezq), eq2=spec.radius**2)
+        ezq, eq2 = 2.0 * eyq / a, 2.0 * eq2_rail
+    else:
+        # |q| = radius and the phase error is uniform on a sector, independent of
+        # |Z|: E[Z^dag q(aZ)] = radius * E|Z| * E cos(error), E|Z| = sqrt(pi)/2.
+        m = spec.phases
+        ezq = np.full(a.shape, spec.radius * (_SQRT_PI / 2.0) * (m / np.pi) * np.sin(np.pi / m))
+        eq2 = np.full(a.shape, spec.radius**2)
+    if a.ndim:
+        return GaussianMoments(alpha=a, ezq=ezq, eq2=eq2)
+    return GaussianMoments(alpha=alpha, ezq=complex(ezq), eq2=float(eq2))
 
 
 # ---------------------------------------------------------------------------

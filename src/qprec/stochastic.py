@@ -8,6 +8,7 @@ so every trial can be replayed deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +53,7 @@ def sample_complex_gaussian(n: int, variance: float, rng: RngStream) -> np.ndarr
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not np.isfinite(variance) or variance < 0:
+    if not math.isfinite(variance) or variance < 0:
         raise ValueError("variance must be finite and nonnegative")
     if variance == 0.0:
         return np.zeros(n, dtype=complex)
@@ -66,7 +67,7 @@ def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarr
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0:
         raise ValueError("constellation must be nonempty")
-    if np.any(pts == 0):
+    if (pts == 0).any():
         raise ValueError("constellation must not contain 0")
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -85,17 +86,46 @@ def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+# Up to this many rows, one call per row costs less than one batched call over
+# the rows (np.vecdot's fixed cost); both give the same bits.
+_FEW_ROWS = 2
+
+
+def complex_norm(x: np.ndarray) -> float | list[float]:
+    """np.linalg.norm of a complex vector, or the list of those of a matrix's rows.
+
+    The same dot products as np.linalg.norm (np.vecdot makes them row by
+    row), so the same bits, without its dispatch.
+    """
+    if x.ndim == 1:
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    if len(x) <= _FEW_ROWS:
+        return [complex_norm(row) for row in x]
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+
+
 def _householder_parts(v: np.ndarray) -> tuple[np.ndarray, float, complex]:
+    """(w, ||w||^2, sigma) of R(v); for a 2-D v, one row of w and one list entry
+    of the other two per row of v."""
     v = np.asarray(v, dtype=complex)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = complex_norm(v)
+    if not all(0.0 < x < math.inf for x in (norm if v.ndim > 1 else [norm])):
         raise ValueError("reflector requires a nonzero finite vector")
-    v1 = v[0]
-    sigma = v1 / abs(v1) if v1 != 0 else complex(1.0)
     w = v.copy()
-    w[0] = v1 + sigma * norm
-    wnorm2 = float(np.real(np.vdot(w, w)))
-    return w, wnorm2, sigma
+    # Each phase v1/|v1| stays on numpy's scalar path: the array abs rounds differently.
+    if v.ndim == 1:
+        v1 = v[0]
+        sigma = v1 / abs(v1) if v1 != 0 else complex(1.0)
+        w[0] = v1 + sigma * norm
+        return w, float(np.vdot(w, w).real), sigma
+    sigma, first = [], []
+    for v1, n in zip(v[:, 0], norm):
+        sigma.append(v1 / abs(v1) if v1 != 0 else complex(1.0))
+        first.append(v1 + sigma[-1] * n)
+    w[:, 0] = first
+    return w, np.vecdot(w, w).real.tolist(), sigma
 
 
 def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -108,11 +138,23 @@ def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def reflect_adjoint(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply R(v)^H to x without forming the matrix."""
+    """Apply R(v)^H to x without forming the matrix.
+
+    For a 2-D v, row i of the result is R(v_i)^H x.
+    """
     w, wnorm2, sigma = _householder_parts(v)
-    x = np.asarray(x, dtype=complex).copy()
-    x[0] = -sigma * x[0]
-    return x - w * (2.0 * np.vdot(w, x) / wnorm2)
+    if w.ndim == 1:
+        x = np.asarray(x, dtype=complex).copy()
+        x[0] = -sigma * x[0]
+        return x - w * (2.0 * np.vdot(w, x) / wnorm2)
+    x = np.asarray(x, dtype=complex)
+    rows = np.empty_like(w)
+    rows[:, 1:] = x[1:]
+    rows[:, 0] = [-phase * x[0] for phase in sigma]
+    coef = [2.0 * dot / n for dot, n in zip(np.vecdot(w, rows), wnorm2)]
+    w *= np.array(coef)[:, None]  # in place: one (rows x N) temporary fewer
+    rows -= w
+    return rows
 
 
 def householder_reflector(v: np.ndarray) -> np.ndarray:
@@ -126,14 +168,24 @@ def householder_reflector(v: np.ndarray) -> np.ndarray:
 
 
 def complement_project(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B(v)^H x, where B(v) spans the orthogonal complement of v."""
-    return reflect(v, x)[1:]
+    """B(v)^H x, where B(v) spans the orthogonal complement of v.
+
+    For a 2-D x, row i of the result is B(v)^H x_i; the rows share one set-up
+    of the reflector.
+    """
+    w, wnorm2, _ = _householder_parts(v)
+    x = np.asarray(x, dtype=complex)
+    coef = 2.0 * np.vecdot(w, x) / wnorm2
+    out = w[1:] * coef[..., None]
+    return np.subtract(x[..., 1:], out, out=out)
 
 
 def complement_embed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """B(v) y for coefficients y of length dim(v) - 1."""
+    """B(v) y for coefficients y of length dim(v) - 1; row i is B(v_i) y for a 2-D v."""
     y = np.asarray(y, dtype=complex)
     padded = np.concatenate([np.zeros(1, dtype=complex), y])
+    if np.ndim(v) == 2 and len(v) <= _FEW_ROWS:
+        return np.array([reflect_adjoint(row, padded) for row in v])
     return reflect_adjoint(v, padded)
 
 

@@ -243,10 +243,19 @@ def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_
     good = md.sample_raw_draw(small_config, RngStream(3, 0))
     bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
     with pytest.raises(DegenerateDrawError):
-        md.evaluate(bad, small_config, rzf_shaping, one_bit_q)
+        md.evaluate(bad, small_config, [rzf_shaping], one_bit_q)
     calls = []
     monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
     coupled = md.functional_models(small_config, rzf_shaping, one_bit_q)
     with pytest.raises(DegenerateDrawError):
         coupled.sample(RngStream(3, 0), 5)
     assert len(calls) == 1
+
+
+def test_coupled_sampler_rejects_an_empty_list_and_mixed_quantizers(small_config, rzf_shaping):
+    with pytest.raises(ValueError):
+        md.sample_coupled([], RngStream(1, 0), 5)
+    mixed = [md.functional_models(small_config, rzf_shaping, q)
+             for q in (qt.one_bit(), qt.phase_ce(8))]
+    with pytest.raises(ValueError):
+        md.sample_coupled(mixed, RngStream(1, 0), 5)

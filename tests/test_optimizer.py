@@ -134,6 +134,12 @@ def test_solve_finite_argmax_near_asymptotic(asym):
     assert abs(int(idx) - int(idx_target)) <= 1
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_feasibility_deviation_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError):
+        opt.feasibility_deviation(CFG, ONE_BIT, GRID, RngStream(0, 0), trials)
+
+
 def test_feasibility_deviation_nonnegative_and_shrinking():
     vals = []
     for k in (64, 256):

@@ -165,6 +165,33 @@ def test_moments_reject_bad_alpha():
         qt.gaussian_moments(ONE_BIT, 0.0)
     with pytest.raises(ValueError):
         qt.gaussian_moments(ONE_BIT, -1.0)
+    with pytest.raises(ValueError):
+        qt.gaussian_moments(ONE_BIT, np.array([0.5, 0.0]))
+
+
+@pytest.mark.parametrize("spec", [qt.uniform_iq(levels, 0.4) for levels in (2, 4, 16, 64)]
+                         + [qt.phase_ce(8)], ids=["uiq2", "uiq4", "uiq16", "uiq64", "phase8"])
+def test_moments_over_an_array_equal_the_scalar_calls(spec):
+    alphas = np.linspace(0.05, 3.0, 11)
+    block = qt.gaussian_moments(spec, alphas.reshape(1, 11))
+    for j, alpha in enumerate(alphas.tolist()):
+        gm = qt.gaussian_moments(spec, alpha)
+        assert gm.ezq.imag == 0.0
+        pairs = [(block.ezq, gm.ezq.real), (block.eq2, gm.eq2),
+                 (block.linear_gain, gm.linear_gain.real), (block.gain_power, gm.gain_power),
+                 (block.distortion_rms, gm.distortion_rms)]
+        for array, scalar in pairs:
+            assert array.shape == (1, 11) and array[0, j].hex() == scalar.hex()
+
+
+def test_rail_arrays_are_built_once_and_read_only():
+    spec = qt.uniform_iq(8, 0.1)
+    assert spec.rail_thresholds() is spec.rail_thresholds()
+    assert spec.rail_values() is spec.rail_values()
+    for rail in (spec.rail_thresholds(), spec.rail_values()):
+        with pytest.raises(ValueError):
+            rail[0] = 0.0
+    assert np.array_equal(spec.rail_values(), 0.1 * (np.arange(-4, 4) + 0.5))
 
 
 # -- envelopes -----------------------------------------------------------------
