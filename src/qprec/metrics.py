@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ScalarModel, SystemConfig, asymptotic_model
+from .models import ScalarModel, SystemConfig, asymptotic_model, sample_scalar_outputs
 from .quantizer import QuantizerSpec, gaussian_moments
 
 
@@ -186,8 +186,6 @@ def sep_from_samples(y: np.ndarray, s: np.ndarray, rule: DecisionRule) -> Estima
 def sep_bar(model: ScalarModel, rule: DecisionRule, config: SystemConfig,
             rng, trials: int) -> Estimate:
     """Scalar-model SEP by Monte Carlo under the same decision rule."""
-    from .models import sample_scalar_outputs
-
     y, s = sample_scalar_outputs(model, config, rng, trials)
     return sep_from_samples(y, s, rule)
 

@@ -323,19 +323,6 @@ def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
                    s=sample_constellation(config.points, k, rng))
 
 
-# At large N a grid is evaluated in consecutive blocks of at most 2**14 (member, entry)
-# pairs, 256 kB of complex per (members x N) array, so peak memory does not grow
-# with the grid.
-_BLOCK_ENTRIES = 2**14
-
-
-def member_blocks(shapings: Sequence[ShapingFunction],
-                  n: int) -> list[Sequence[ShapingFunction]]:
-    """Consecutive runs of ``shapings`` that are evaluated as one block at dimension n."""
-    rows = max(1, _BLOCK_ENTRIES // n)
-    return [shapings[i:i + rows] for i in range(0, len(shapings), rows)]
-
-
 def scale_pair(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunction],
                quant: QuantizerSpec) -> tuple[list[float], list[float], list[float],
                                               np.ndarray, np.ndarray]:
@@ -386,14 +373,8 @@ def evaluate(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunc
     one quantize call, one reflector set-up each for z1, g1 and s, and one
     np.vecdot call per dot product.  Each member's scalars follow the
     arithmetic of a block of one, so every entry equals its shaping's
-    evaluation alone, bit for bit.  A grid larger than one block (see
-    ``member_blocks``) is evaluated block by block.  Raises DegenerateDrawError
-    on degeneracy.
+    evaluation alone, bit for bit.  Raises DegenerateDrawError on degeneracy.
     """
-    if len(shapings) * config.n > _BLOCK_ENTRIES:
-        parts = [vars(evaluate(draw, config, block, quant))
-                 for block in member_blocks(shapings, config.n)]
-        return Evaluation(**{name: [x for part in parts for x in part[name]] for name in parts[0]})
     alpha, eta, qnorm, qz, shat = scale_pair(draw, config, shapings, quant)
     d, g1, z1, z2_tail, k = draw.d, draw.g1, draw.z1, draw.z2[1:], config.k
     s_norm, g1_norm, z1_norm = draw.norms

@@ -26,7 +26,6 @@ from .models import (
     SystemConfig,
     asymptotic_model,
     functional_models,
-    member_blocks,
     mf,
     rzf,
     sample_coupled,
@@ -182,20 +181,18 @@ def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
                           grid: FamilyGrid, rng: RngStream, trials: int) -> float:
     """Monte-Carlo estimate of E max over the grid of |finite - limit| scales.
 
-    Each draw's scale pairs come from one ``scale_pair`` block per member block.
+    Each draw's scale pairs come from one ``scale_pair`` call over the grid.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     members = grid.members()
     limits = [sigma_asymptotic(f, config, quant) for f in members]
-    blocks = member_blocks(members, config.n)
     total = 0.0
     for _ in range(trials):
         draw = sample_raw_draw(config, rng)
-        pairs = [pair for block in blocks
-                 for pair in zip(*scale_pair(draw, config, block, quant)[:2])]
+        alphas, etas = scale_pair(draw, config, members, quant)[:2]
         worst = 0.0
-        for (alpha, eta), limit in zip(pairs, limits):
+        for alpha, eta, limit in zip(alphas, etas, limits):
             worst = max(worst, SigmaPair(eta=eta, alpha=alpha).distance(limit))
         total += worst
     return total / trials

@@ -86,23 +86,15 @@ def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# Up to this many rows, one call per row costs less than one batched call over
-# the rows (np.vecdot's fixed cost); both give the same bits.
-_FEW_ROWS = 2
-
-
 def complex_norm(x: np.ndarray) -> float | list[float]:
     """np.linalg.norm of a complex vector, or the list of those of a matrix's rows.
 
     The same dot products as np.linalg.norm (np.vecdot makes them row by
     row), so the same bits, without its dispatch.
     """
-    if x.ndim == 1:
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    if len(x) <= _FEW_ROWS:
-        return [complex_norm(row) for row in x]
     re, im = x.real, x.imag
+    if x.ndim == 1:
+        return math.sqrt(re.dot(re) + im.dot(im))
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
 
 
@@ -138,15 +130,8 @@ def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def reflect_adjoint(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply R(v)^H to x without forming the matrix.
-
-    For a 2-D v, row i of the result is R(v_i)^H x.
-    """
+    """Row i is R(v_i)^H x, for every row v_i of a (rows x N) block; no matrix is formed."""
     w, wnorm2, sigma = _householder_parts(v)
-    if w.ndim == 1:
-        x = np.asarray(x, dtype=complex).copy()
-        x[0] = -sigma * x[0]
-        return x - w * (2.0 * np.vdot(w, x) / wnorm2)
     x = np.asarray(x, dtype=complex)
     rows = np.empty_like(w)
     rows[:, 1:] = x[1:]
@@ -181,11 +166,9 @@ def complement_project(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def complement_embed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """B(v) y for coefficients y of length dim(v) - 1; row i is B(v_i) y for a 2-D v."""
+    """B(v_i) y for every row v_i of a (rows x N) block; y has length N - 1."""
     y = np.asarray(y, dtype=complex)
     padded = np.concatenate([np.zeros(1, dtype=complex), y])
-    if np.ndim(v) == 2 and len(v) <= _FEW_ROWS:
-        return np.array([reflect_adjoint(row, padded) for row in v])
     return reflect_adjoint(v, padded)
 
 

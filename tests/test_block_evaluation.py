@@ -150,7 +150,7 @@ def _assert_same_samples(block, reference):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
 
 
-@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("k", [16, 64, 1024])
 @pytest.mark.parametrize("name", list(QUANTS))
 def test_block_matches_member_by_member_reference(name, k):
     quant = QUANTS[name]

@@ -13,7 +13,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("convergence_study.py", ["--ladder", "8", "--trials", "20"], "sinr_gap"),
     ("optimize_shaping.py", ["--k", "8", "--trials", "20", "--points", "3"],
      "value-gap bound"),
-], ids=["convergence_study", "optimize_shaping"])
+    ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
+     "phase_ce8 k=8 seed=1 optimal_gap_report "),
+], ids=["convergence_study", "optimize_shaping", "output_digests"])
 def test_script_runs(script, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script] + args)
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")

@@ -101,16 +101,29 @@ def test_complement_of_e1_is_trailing_basis():
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=16))
-def test_matrix_free_applications_match_dense(seed, n):
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=16),
+       st.integers(min_value=1, max_value=3))
+def test_matrix_free_applications_match_dense(seed, n, rows):
     v = _random_vector(seed, n)
     x = _random_vector(seed + 1, n)
     r = sto.householder_reflector(v)
     b = sto.complement_basis(v)
     assert np.allclose(sto.reflect(v, x), r @ x, atol=1e-12)
-    assert np.allclose(sto.reflect_adjoint(v, x), r.conj().T @ x, atol=1e-12)
+    assert np.allclose(sto.reflect_adjoint(v[None], x)[0], r.conj().T @ x, atol=1e-12)
     assert np.allclose(sto.complement_project(v, x), b.conj().T @ x, atol=1e-12)
-    assert np.allclose(sto.complement_embed(v, x[1:]), b @ x[1:], atol=1e-12)
+    assert np.allclose(sto.complement_embed(v[None], x[1:])[0], b @ x[1:], atol=1e-12)
+    # A (rows x n) block: row i matches the dense matrices of its own vector.
+    block = np.array([_random_vector(seed + 2 + i, n) for i in range(rows)])
+    assert sto.complex_norm(block) == [sto.complex_norm(row) for row in block]
+    adjoint = sto.reflect_adjoint(block, x)
+    embedded = sto.complement_embed(block, x[1:])
+    projected = sto.complement_project(v, block)
+    for i, row in enumerate(block):
+        r_i = sto.householder_reflector(row)
+        b_i = sto.complement_basis(row)
+        assert np.allclose(adjoint[i], r_i.conj().T @ x, atol=1e-12)
+        assert np.allclose(embedded[i], b_i @ x[1:], atol=1e-12)
+        assert np.allclose(projected[i], b.conj().T @ row, atol=1e-12)
 
 
 def test_zero_vector_rejected():
