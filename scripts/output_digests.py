@@ -68,10 +68,10 @@ def digest(obj) -> str:
 
 def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, trials: int):
     """(name, output) of every sampler and finite solver for one seed."""
-    coupled = [md.functional_models(cfg, f, quant) for f in GRID.members()]
     yield "CoupledModel.sample", md.CoupledModel(cfg, SHAPING, quant).sample(
         RngStream(seed, 1), trials)
-    yield "sample_coupled", md.sample_coupled(coupled, RngStream(seed, 2), trials)
+    yield "sample_coupled", md.sample_coupled(cfg, quant, GRID.members(), RngStream(seed, 2),
+                                              trials)
     yield "simulate_equivalent", md.simulate_equivalent(cfg, SHAPING, quant,
                                                         RngStream(seed, 3), trials)
     yield "simulate_original", md.simulate_original(cfg, SHAPING, quant, RngStream(seed, 4),

@@ -145,14 +145,14 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         eps = cp.getfloat("experiment", "eps", fallback=0.5)
     except ValueError as exc:
         raise ConfigError(f"bad numeric field: {exc}") from exc
-    if not seeds:
-        raise ConfigError("field 'seeds' must list at least one seed")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError("field 'seeds' must list at least one seed, each once")
     if trials < 1:
         raise ConfigError("field 'trials' must be at least 1")
     if not eps > 0:
         raise ConfigError("field 'eps' must be positive")
-    if list(k_ladder) != sorted(set(k_ladder)):
-        raise ConfigError("field 'k_ladder' must be strictly increasing")
+    if not k_ladder or list(k_ladder) != sorted(set(k_ladder)):
+        raise ConfigError("field 'k_ladder' must be nonempty and strictly increasing")
     cname = cp.get("system", "constellation", fallback=None)
     if cname is None:
         raise ConfigError("missing field 'constellation' in section [system]")
@@ -347,6 +347,8 @@ def _suite_kyfan_rate(cfg: ExperimentConfig):
             Record(cfg.name, seed, k, "kf_interference", d_int),
         ]
 
+    if len(cfg.k_ladder) < 2:
+        raise ConfigError("field 'k_ladder' needs at least two entries for a log-log slope")
     records = _run_cells(cfg, cell)
     means = _ladder_means(records, "kf_signal_gain", cfg)
     slope = _loglog_slope(cfg.k_ladder, means)
@@ -619,7 +621,9 @@ def emit_plotdata(csv_path: str | Path, metric: str, loglog: bool = False,
     if mean_acc:
         ks = sorted(mean_acc)
         means = [float(np.mean(mean_acc[k])) for k in ks]
-        if loglog and len(ks) > 1 and all(v > 0 for v in means):
+        if loglog and not all(v > 0 for v in means):
+            raise ValueError(f"--loglog needs every mean of '{metric}' to be positive")
+        if loglog and len(ks) > 1:
             slope = _loglog_slope(ks, means)
             lines.insert(1, f"# loglog_slope={slope!r}")
         lines.append("# mean")

@@ -491,30 +491,26 @@ class CoupledModel:
 
     def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
         """Samples of user 0; every user of a draw has the same law."""
-        return sample_coupled([self], rng, trials)[0]
+        return sample_coupled(self.config, self.quant, [self.shaping], rng, trials)[0]
 
 
-def sample_coupled(models: Sequence[CoupledModel], rng: RngStream,
+def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
+                   shapings: Sequence[ShapingFunction], rng: RngStream,
                    trials: int) -> list[CoupledSamples]:
-    """Samples of user 0 under every model, all on the same draws.
+    """Samples of user 0 under every shaping, all on the same draws.
 
-    Each trial draws one RawDraw and its noise, as one model's ``sample`` does,
-    and evaluates every model on them as one block: common random numbers, one
-    spectrum, one quantize call.  The models share one config and one
-    quantizer.  ``y_mid``'s moments come from one call over all trials' scales.
+    Each trial draws one RawDraw and its noise, as ``CoupledModel.sample`` does,
+    and evaluates every shaping on them as one block: common random numbers, one
+    spectrum, one quantize call.  Each shaping's limit is its ``asymptotic_model``.
+    ``y_mid``'s moments come from one call over all trials' scales.
     """
-    if not models:
-        raise ValueError("need at least one coupled model")
-    config, quant = models[0].config, models[0].quant
-    if any(m.config != config for m in models):
-        raise ValueError("coupled models must share one system config")
-    if any(m.quant != quant for m in models):
-        raise ValueError("coupled models must share one quantizer")
-    shapings = [m.shaping for m in models]
-    # Row i of each (members x trials) array belongs to models[i].
+    if not shapings:
+        raise ValueError("need at least one shaping")
+    scalars = [asymptotic_model(config, f, quant) for f in shapings]
+    # Row i of each (members x trials) array belongs to shapings[i].
     user = np.empty((3, trials), dtype=complex)  # s, g2 and noise of user 0
-    alpha, eta, t_g = (np.empty((len(models), trials)) for _ in range(3))
-    t_s, y_hat = (np.empty((len(models), trials), dtype=complex) for _ in range(2))
+    alpha, eta, t_g = (np.empty((len(shapings), trials)) for _ in range(3))
+    t_s, y_hat = (np.empty((len(shapings), trials), dtype=complex) for _ in range(2))
     for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=1)):
         ev = evaluate(draw, config, shapings, quant)
         s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
@@ -526,17 +522,17 @@ def sample_coupled(models: Sequence[CoupledModel], rng: RngStream,
         alpha[:, t], eta[:, t], t_s[:, t], t_g[:, t] = ev.alpha, ev.eta, ev.t_s, ev.t_g
     s, g2, noise = user
     # Each limit quantity as a (members x 1) column, broadcast over the trials.
-    moments = ShapedMoments(*np.array([astuple(m.scalar.moments) for m in models]).T[..., None])
+    moments = ShapedMoments(*np.array([astuple(m.moments) for m in scalars]).T[..., None])
     ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,
                                            gaussian_moments(quant, alpha))
     y_mid = eta * (ts_mid * s + tg_mid * g2) + noise
-    power, ts_bar, tg_bar = np.array([[m.scalar.power_scale, m.scalar.signal_gain,
-                                       m.scalar.interference_gain] for m in models]).T[..., None]
+    power, ts_bar, tg_bar = np.array([[m.power_scale, m.signal_gain, m.interference_gain]
+                                      for m in scalars]).T[..., None]
     y_bar = power * (ts_bar * s + tg_bar * g2) + noise
     return [CoupledSamples(s=s, y_hat=y_hat[i], y_bar=y_bar[i], y_mid=y_mid[i],
                            signal_gain=t_s[i], g2_user=g2, interference_gain=t_g[i],
                            input_scale=alpha[i], power_scale=eta[i])
-            for i in range(len(models))]
+            for i in range(len(shapings))]
 
 
 def functional_models(config: SystemConfig, shaping: ShapingFunction,

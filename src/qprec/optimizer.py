@@ -20,12 +20,10 @@ from scipy.optimize import minimize_scalar
 from .bounds import BoundReport, sinr_sensitivity
 from .metrics import UnstableEstimateError, l2_deviation, sinr_bar, sinr_from_samples
 from .models import (
-    RawDraw,
     ScalarModel,
     ShapingFunction,
     SystemConfig,
     asymptotic_model,
-    functional_models,
     mf,
     rzf,
     sample_coupled,
@@ -38,21 +36,6 @@ from .spectral import theta_interval
 from .stochastic import RngStream
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SigmaPair:
-    """Equality-constrained scale pair (power scale, input scale)."""
-
-    eta: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.eta <= 0 or self.alpha <= 0:
-            raise ValueError("both scales must be strictly positive")
-
-    def distance(self, other: "SigmaPair") -> float:
-        return math.hypot(self.eta - other.eta, self.alpha - other.alpha)
 
 
 @dataclass(frozen=True)
@@ -82,18 +65,6 @@ class FamilyGrid:
         """(sup bound, Lipschitz bound) on the bulk support per member."""
         return {f.label: (f.sup_bound(gamma), f.lipschitz_bound(gamma))
                 for f in self.members()}
-
-
-def sigma_asymptotic(shaping: ShapingFunction, config: SystemConfig,
-                     quant: QuantizerSpec) -> SigmaPair:
-    model = asymptotic_model(config, shaping, quant)
-    return SigmaPair(eta=model.power_scale, alpha=model.input_scale)
-
-
-def sigma_finite(shaping: ShapingFunction, draw: RawDraw, config: SystemConfig,
-                 quant: QuantizerSpec) -> SigmaPair:
-    alpha, eta, *_ = scale_pair(draw, config, [shaping], quant)
-    return SigmaPair(eta=eta[0], alpha=alpha[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +128,11 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     members = grid.members()
-    coupled = [functional_models(config, f, quant) for f in members]
     profile = []
     best = None
     best_val = -math.inf
-    for f, samples in zip(members, sample_coupled(coupled, RngStream(seed, 0), trials)):
+    for f, samples in zip(members, sample_coupled(config, quant, members,
+                                                  RngStream(seed, 0), trials)):
         try:
             est = sinr_from_samples(samples.y_hat, samples.s, config.sigma2_sym)
         except UnstableEstimateError:
@@ -186,15 +157,13 @@ def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     members = grid.members()
-    limits = [sigma_asymptotic(f, config, quant) for f in members]
+    limits = [asymptotic_model(config, f, quant) for f in members]
     total = 0.0
     for _ in range(trials):
         draw = sample_raw_draw(config, rng)
         alphas, etas = scale_pair(draw, config, members, quant)[:2]
-        worst = 0.0
-        for alpha, eta, limit in zip(alphas, etas, limits):
-            worst = max(worst, SigmaPair(eta=eta, alpha=alpha).distance(limit))
-        total += worst
+        total += max(math.hypot(eta - m.power_scale, alpha - m.input_scale)
+                     for alpha, eta, m in zip(alphas, etas, limits))
     return total / trials
 
 
@@ -205,12 +174,12 @@ def optimal_gap_report(config: SystemConfig, quant: QuantizerSpec, grid: FamilyG
     fin = solve_finite(config, quant, grid, seed=seed, trials=trials)
     gap = abs(fin.value - asym.value)
 
-    coupled = [functional_models(config, f, quant) for f in grid.members()]
+    members = grid.members()
     sup_dev = 0.0
     l_rho = 0.0
-    for c, samples in zip(coupled, sample_coupled(coupled, RngStream(seed, 1),
+    for f, samples in zip(members, sample_coupled(config, quant, members, RngStream(seed, 1),
                                                   max(200, trials // 4))):
-        l_rho = max(l_rho, sinr_sensitivity(config, c.scalar))
+        l_rho = max(l_rho, sinr_sensitivity(config, asymptotic_model(config, f, quant)))
         dev = (l2_deviation(samples.y_hat, samples.y_bar).value
                + l2_deviation(samples.y_mid, samples.y_bar).value)
         sup_dev = max(sup_dev, dev)

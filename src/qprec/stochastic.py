@@ -129,19 +129,6 @@ def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def reflect_adjoint(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row i is R(v_i)^H x, for every row v_i of a (rows x N) block; no matrix is formed."""
-    w, wnorm2, sigma = _householder_parts(v)
-    x = np.asarray(x, dtype=complex)
-    rows = np.empty_like(w)
-    rows[:, 1:] = x[1:]
-    rows[:, 0] = [-phase * x[0] for phase in sigma]
-    coef = [2.0 * dot / n for dot, n in zip(np.vecdot(w, rows), wnorm2)]
-    w *= np.array(coef)[:, None]  # in place: one (rows x N) temporary fewer
-    rows -= w
-    return rows
-
-
 def householder_reflector(v: np.ndarray) -> np.ndarray:
     """Dense unitary R with R v = ||v|| e1 (first standard basis vector)."""
     v = np.asarray(v, dtype=complex)
@@ -167,9 +154,13 @@ def complement_project(v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def complement_embed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     """B(v_i) y for every row v_i of a (rows x N) block; y has length N - 1."""
-    y = np.asarray(y, dtype=complex)
-    padded = np.concatenate([np.zeros(1, dtype=complex), y])
-    return reflect_adjoint(v, padded)
+    w, wnorm2, _ = _householder_parts(v)
+    rows = np.zeros_like(w)  # row i becomes R(v_i)^H (0, y); the 0 drops R(v_i)'s phase
+    rows[:, 1:] = y
+    coef = 2.0 * np.vecdot(w, rows) / wnorm2
+    w *= coef[:, None]  # in place: one (rows x N) temporary fewer
+    rows -= w
+    return rows
 
 
 def complement_basis(v: np.ndarray) -> np.ndarray:

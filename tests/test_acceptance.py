@@ -288,11 +288,10 @@ def test_criterion_11_optimizer_stability():
     for f in GRID.members():
         models[f.label] = md.asymptotic_model(cfg, f, ONE_BIT)
         l_rho = max(l_rho, bnd.sinr_sensitivity(cfg, models[f.label]))
-    coupled = [md.functional_models(cfg, f, ONE_BIT) for f in GRID.members()]
     holds = []
     for seed, fin in fin256.items():
         sup_dev = 0.0
-        for s in md.sample_coupled(coupled, RngStream(seed, 7000), 250):
+        for s in md.sample_coupled(cfg, ONE_BIT, GRID.members(), RngStream(seed, 7000), 250):
             dev = (float(np.sqrt(np.mean(np.abs(s.y_hat - s.y_bar) ** 2)))
                    + float(np.sqrt(np.mean(np.abs(s.y_mid - s.y_bar) ** 2))))
             sup_dev = max(sup_dev, dev)

@@ -8,6 +8,7 @@ helpers it called) so the comparison does not lean on the code under test.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -127,14 +128,15 @@ def _sample_coupled(models, rng, trials):
 
 def _feasibility_deviation(config, quant, grid, rng, trials):
     members = grid.members()
-    limits = {f.label: opt.sigma_asymptotic(f, config, quant) for f in members}
+    limits = {f.label: md.asymptotic_model(config, f, quant) for f in members}
     total = 0.0
     for _ in range(trials):
         draw = md.sample_raw_draw(config, rng)
         worst = 0.0
         for f in members:
             alpha, eta, _, _ = _scale_pair(draw, config, f, quant)
-            worst = max(worst, opt.SigmaPair(eta=eta, alpha=alpha).distance(limits[f.label]))
+            limit = limits[f.label]
+            worst = max(worst, math.hypot(eta - limit.power_scale, alpha - limit.input_scale))
         total += worst
     return total / trials
 
@@ -157,7 +159,7 @@ def test_block_matches_member_by_member_reference(name, k):
     cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
     coupled = [md.functional_models(cfg, f, quant) for f in GRID.members()]
     assert len(coupled) == 11
-    _assert_same_samples(md.sample_coupled(coupled, RngStream(k, 1), 12),
+    _assert_same_samples(md.sample_coupled(cfg, quant, GRID.members(), RngStream(k, 1), 12),
                          _sample_coupled(coupled, RngStream(k, 1), 12))
     _assert_same_samples([coupled[5].sample(RngStream(k, 2), 12)],
                          _sample_coupled([coupled[5]], RngStream(k, 2), 12))
@@ -183,11 +185,12 @@ def _count_calls(monkeypatch, module, name):
 
 def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
-    coupled = [md.functional_models(cfg, f, qt.one_bit()) for f in GRID.members()]
+    for f in GRID.members():  # the limits are built (and cached) before counting
+        md.asymptotic_model(cfg, f, qt.one_bit())
     draws = _count_calls(monkeypatch, md, "sample_raw_draw")
     quantizes = _count_calls(monkeypatch, md, "quantize")
     moments = _count_calls(monkeypatch, md, "gaussian_moments")
-    md.sample_coupled(coupled, RngStream(4, 0), 7)
+    md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(4, 0), 7)
     assert (len(draws), len(quantizes), len(moments)) == (7, 7, 1)
 
 
@@ -197,9 +200,8 @@ def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch):
     bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
     calls = []
     monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
-    coupled = [md.functional_models(cfg, f, qt.one_bit()) for f in GRID.members()]
     with pytest.raises(DegenerateDrawError):
-        md.sample_coupled(coupled, RngStream(5, 0), 5)
+        md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(5, 0), 5)
     assert len(calls) == 1
 
 

@@ -72,12 +72,21 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     ("gamma", lambda text: text.replace("gamma = 4.0", "gamma = 0.5")),
     ("'eps'", lambda text: text.replace("trials = 120", "trials = 120\neps = 0")),
     ("[grid]", lambda text: text + "[grid]\npoints = 1\n"),
-], ids=["trials", "k_ladder", "gamma", "eps", "grid"])
+    ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder =")),
+    ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = 1 1")),
+], ids=["trials", "k_ladder", "gamma", "eps", "grid", "empty_k_ladder", "repeated_seed"])
 def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
     path = _write_config(tmp_path, "mp-check")
     path.write_text(edit(path.read_text()))
     assert cli.main(["run", str(path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_kyfan_rate_needs_two_ladder_entries(tmp_path, capsys):
+    path = _write_config(tmp_path, "kyfan-rate", k_ladder="16", seeds="1", trials=20)
+    assert cli.main(["run", str(path)]) == 2
+    assert "'k_ladder'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_uniform_clip_must_match_grid(tmp_path, capsys):
@@ -181,6 +190,19 @@ def test_plot_loglog_slope_header(tmp_path):
     assert header.startswith("# loglog_slope=")
     float(header.split("=")[1])  # parses as a number
     assert out.with_suffix(".svg").exists()
+
+
+def test_plot_loglog_rejects_a_nonpositive_mean(tmp_path, capsys):
+    csv_path = tmp_path / "results.csv"
+    rows = [["bounds-audit", 1, k, "cross_tail_0.5", v, "nan", "nan", "", 0.0]
+            for k, v in ((64, 0.01), (256, 0.0))]
+    csv_path.write_text("# qprec-results v1\n" + ",".join(cli.CSV_COLUMNS) + "\n"
+                        + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    out = tmp_path / "tail.dat"
+    assert cli.main(["plot", str(csv_path), "--metric", "cross_tail_0.5", "--loglog",
+                     "--out", str(out), "--svg"]) == 2
+    assert "positive" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".svg").exists()
 
 
 def test_plot_unknown_metric_lists_available(tmp_path, capsys):

@@ -7,7 +7,6 @@ from scipy import stats
 
 from qprec import models as md
 from qprec import quantizer as qt
-from qprec.optimizer import sigma_asymptotic
 from qprec.spectral import mp_moment
 from qprec.stochastic import DegenerateDrawError, RngStream
 
@@ -85,8 +84,8 @@ def test_alpha_formula_matches_direct_quadrature(one_bit_q):
         direct = math.sqrt(cfg.sigma2_sym * mp_moment(lambda d: f(d) ** 2, cfg.law)
                            / cfg.gamma)
         assert abs(model.input_scale - direct) < 1e-10
-    pair = sigma_asymptotic(md.mf(), cfg, one_bit_q)
-    assert pair.alpha == pytest.approx(0.5, abs=1e-9)
+    alpha = md.asymptotic_model(cfg, md.mf(), one_bit_q).input_scale
+    assert alpha == pytest.approx(0.5, abs=1e-9)
 
 
 # -- original model ---------------------------------------------------------------
@@ -228,9 +227,10 @@ def test_l2_deviation_shrinks_with_k(one_bit_q, rzf_shaping):
                          ids=["one_bit", "phase_ce8"])
 def test_shared_draw_sampler_matches_each_model_alone(quant):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0, sigma2_noise=0.1)
-    coupled = [md.functional_models(cfg, f, quant) for f in (md.mf(), md.zf(), md.rzf(0.25))]
+    shapings = [md.mf(), md.zf(), md.rzf(0.25)]
+    coupled = [md.functional_models(cfg, f, quant) for f in shapings]
     for seed in (1, 2):
-        together = md.sample_coupled(coupled, RngStream(seed, 0), 30)
+        together = md.sample_coupled(cfg, quant, shapings, RngStream(seed, 0), 30)
         for c, joint in zip(coupled, together):
             alone = c.sample(RngStream(seed, 0), 30)
             for f in dataclasses.fields(md.CoupledSamples):
@@ -252,10 +252,6 @@ def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_
     assert len(calls) == 1
 
 
-def test_coupled_sampler_rejects_an_empty_list_and_mixed_quantizers(small_config, rzf_shaping):
+def test_coupled_sampler_rejects_an_empty_list(small_config, one_bit_q):
     with pytest.raises(ValueError):
-        md.sample_coupled([], RngStream(1, 0), 5)
-    mixed = [md.functional_models(small_config, rzf_shaping, q)
-             for q in (qt.one_bit(), qt.phase_ce(8))]
-    with pytest.raises(ValueError):
-        md.sample_coupled(mixed, RngStream(1, 0), 5)
+        md.sample_coupled(small_config, one_bit_q, [], RngStream(1, 0), 5)

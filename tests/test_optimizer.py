@@ -25,48 +25,53 @@ def test_grid_members_and_certification():
         opt.FamilyGrid(rho_min=1.0, rho_max=0.5)
 
 
+def _pair_distances(draw, cfg, members, limits):
+    """Per member, the distance of the draw's scale pair (eta, alpha) from its limit."""
+    alphas, etas = md.scale_pair(draw, cfg, members, ONE_BIT)[:2]
+    return [math.hypot(eta - m.power_scale, alpha - m.input_scale)
+            for alpha, eta, m in zip(alphas, etas, limits)]
+
+
 def test_sigma_asymptotic_matched_filter():
-    pair = opt.sigma_asymptotic(md.mf(), CFG, ONE_BIT)
-    assert pair.alpha == pytest.approx(0.5, abs=1e-9)   # sqrt(E d^2 / gamma)
+    model = md.asymptotic_model(CFG, md.mf(), ONE_BIT)
+    assert model.input_scale == pytest.approx(0.5, abs=1e-9)   # sqrt(E d^2 / gamma)
     from qprec.quantizer import gaussian_moments
-    gm = gaussian_moments(ONE_BIT, pair.alpha)
-    assert pair.eta**2 * gm.eq2 == pytest.approx(CFG.power_limit, abs=1e-10)
+    gm = gaussian_moments(ONE_BIT, model.input_scale)
+    assert model.power_scale**2 * gm.eq2 == pytest.approx(CFG.power_limit, abs=1e-10)
 
 
 def test_sigma_asymptotic_homogeneous_in_scale():
-    base = opt.sigma_asymptotic(md.rzf(0.3), CFG, ONE_BIT)
-    scaled = opt.sigma_asymptotic(md.ShapingFunction("rzf", rho=0.3, scale=2.0),
-                                  CFG, ONE_BIT)
-    assert scaled.alpha == pytest.approx(2.0 * base.alpha, rel=1e-10)
+    base = md.asymptotic_model(CFG, md.rzf(0.3), ONE_BIT)
+    scaled = md.asymptotic_model(CFG, md.ShapingFunction("rzf", rho=0.3, scale=2.0), ONE_BIT)
+    assert scaled.input_scale == pytest.approx(2.0 * base.input_scale, rel=1e-10)
 
 
 def test_sigma_finite_constraint_identity():
     draw = opt.sample_raw_draw(CFG, RngStream(0, 0))
     for f in (md.mf(), md.rzf(0.25)):
-        pair = opt.sigma_finite(f, draw, CFG, ONE_BIT)
-        assert pair.alpha > 0 and pair.eta > 0
+        (alpha,), (eta,), *_ = md.scale_pair(draw, CFG, [f], ONE_BIT)
+        assert alpha > 0 and eta > 0
         from qprec.quantizer import quantize
-        qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, pair.alpha * draw.z1)))
-        assert pair.eta**2 * qn**2 / CFG.n == pytest.approx(CFG.power_limit, abs=1e-10)
+        qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, alpha * draw.z1)))
+        assert eta**2 * qn**2 / CFG.n == pytest.approx(CFG.power_limit, abs=1e-10)
 
 
 def test_sigma_finite_positive_over_draws():
     for t in range(50):
         draw = opt.sample_raw_draw(CFG, RngStream(1, t))
-        pair = opt.sigma_finite(md.rzf(0.25), draw, CFG, ONE_BIT)
-        assert pair.alpha > 0 and pair.eta > 0
+        (alpha,), (eta,), *_ = md.scale_pair(draw, CFG, [md.rzf(0.25)], ONE_BIT)
+        assert alpha > 0 and eta > 0
 
 
 def test_sigma_finite_converges_to_limit():
     devs = []
     for k in (64, 256):
         cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
-        limit = opt.sigma_asymptotic(md.rzf(0.25), cfg, ONE_BIT)
+        limit = md.asymptotic_model(cfg, md.rzf(0.25), ONE_BIT)
         gaps = []
         for t in range(60):
             draw = opt.sample_raw_draw(cfg, RngStream(2, 100 * k + t))
-            gaps.append(opt.sigma_finite(md.rzf(0.25), draw, cfg, ONE_BIT)
-                        .distance(limit))
+            gaps += _pair_distances(draw, cfg, [md.rzf(0.25)], [limit])
         devs.append(np.mean(gaps))
     assert devs[1] < devs[0]
 
@@ -152,11 +157,10 @@ def test_feasibility_deviation_nonnegative_and_shrinking():
 
 def test_family_restricted_hausdorff_below_deviation():
     members = GRID.members()
-    limits = [opt.sigma_asymptotic(f, CFG, ONE_BIT) for f in members]
+    limits = [md.asymptotic_model(CFG, f, ONE_BIT) for f in members]
     for seed in range(5):
         draw = opt.sample_raw_draw(CFG, RngStream(8, seed))
-        per_member = [opt.sigma_finite(f, draw, CFG, ONE_BIT).distance(lim)
-                      for f, lim in zip(members, limits)]
+        per_member = _pair_distances(draw, CFG, members, limits)
         # the feasible-slice Hausdorff surrogate is the max over members,
         # which the per-draw deviation dominates by construction
         assert max(per_member) <= max(per_member) + 1e-15
@@ -197,17 +201,15 @@ def test_solution_set_distance_bounded_by_growth(growth, asym):
     from qprec.bounds import sinr_sensitivity
 
     members = GRID.members()
-    limits = [opt.sigma_asymptotic(f, CFG, ONE_BIT) for f in members]
-    l_rho = max(sinr_sensitivity(CFG, md.asymptotic_model(CFG, f, ONE_BIT))
-                for f in members)
+    limits = [md.asymptotic_model(CFG, f, ONE_BIT) for f in members]
+    l_rho = max(sinr_sensitivity(CFG, m) for m in limits)
     for seed in range(5):
         fin = opt.solve_finite(CFG, ONE_BIT, GRID, seed=seed, trials=300)
         dist = opt._member_distance(fin.best, asym.best, CFG,
                                     md.asymptotic_model(CFG, fin.best, ONE_BIT),
                                     md.asymptotic_model(CFG, asym.best, ONE_BIT))
         draw = opt.sample_raw_draw(CFG, RngStream(20, seed))
-        dev = max(opt.sigma_finite(f, draw, CFG, ONE_BIT).distance(lim)
-                  for f, lim in zip(members, limits))
+        dev = max(_pair_distances(draw, CFG, members, limits))
         coupled = md.functional_models(CFG, fin.best, ONE_BIT)
         samples = coupled.sample(RngStream(21, seed), 200)
         dcoup = (float(np.sqrt(np.mean(np.abs(samples.y_hat - samples.y_bar) ** 2)))
