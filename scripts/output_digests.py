@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 line per output of the samplers and solvers.
+"""Print one SHA-256 line per output of the samplers, solvers and tail bounds.
 
 Each line names the quantizer, K, seed and output, then the digest of that
 output's exact bytes (array dtype, shape and contents; float bits in hex).
@@ -12,7 +12,9 @@ so "bitwise against the parent" is a diff of two runs:
 
 The default grid is {one_bit, phase_ce(8), uniform_iq(4, 0.5)} x K in
 {16, 64, 1024} x seeds {1, 2}; the original model's channel SVD dominates
-its time at K = 1024.
+its time at K = 1024.  The three tail cascades are hashed per quantizer and
+K (of the system their constants come from) at eps 0.5, evaluated at
+K = 10^3 and 10^6.
 """
 
 import argparse
@@ -21,6 +23,7 @@ import hashlib
 
 import numpy as np
 
+from qprec import bounds as bnd
 from qprec import models as md
 from qprec import optimizer as opt
 from qprec import quantizer as qt
@@ -32,6 +35,8 @@ GRID = opt.FamilyGrid(points=9)
 SHAPING = md.rzf(0.25)
 # Each trial of the original model is a full channel SVD (seconds at K = 1024).
 ORIGINAL_TRIALS = 2
+TAIL_EPS = 0.5
+TAIL_KS = (10**3, 10**6)
 
 
 def _feed(h, obj) -> None:
@@ -83,6 +88,18 @@ def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, tri
                                                        trials=trials)
 
 
+def tail_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec):
+    """(name, [TailBound at each of TAIL_KS]) of each tail cascade."""
+    params = bnd.cascade_params(cfg, SHAPING, quant)
+    eta = md.asymptotic_model(cfg, SHAPING, quant).power_scale
+    s_sup = max(abs(s) for s in cfg.constellation)
+    yield "interference_gain_tail", [bnd.interference_gain_tail(TAIL_EPS, k, params)
+                                     for k in TAIL_KS]
+    yield "signal_gain_tail", [bnd.signal_gain_tail(TAIL_EPS, k, params) for k in TAIL_KS]
+    yield "received_gap_tail", [bnd.received_gap_tail(TAIL_EPS, k, params, eta, s_sup)
+                                for k in TAIL_KS]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -97,6 +114,8 @@ def main() -> None:
             print(f"{name} k={k} seed=- solve_asymptotic "
                   f"{digest(opt.solve_asymptotic(cfg, quant, GRID))}")
             print(f"{name} k={k} seed=- growth_psi {digest(opt.growth_psi(cfg, quant, GRID))}")
+            for output, value in tail_outputs(cfg, quant):
+                print(f"{name} k={k} seed=- {output} {digest(value)}")
             for seed in args.seeds:
                 for output, value in seeded_outputs(cfg, quant, seed, args.trials):
                     print(f"{name} k={k} seed={seed} {output} {digest(value)}", flush=True)

@@ -1,4 +1,4 @@
-"""Explicit deviation bounds: concentration kernels, sensitivity constants,
+"""Explicit deviation bounds: Gaussian form tails, sensitivity constants,
 and the full nested tail cascades for the equivalent-model gain coefficients.
 
 The two cascades bound P(|Tg - Tg_limit| >= eps) and P(|Ts - Ts_limit| >= eps)
@@ -11,7 +11,6 @@ conservative; bounds larger than one are reported as-is (vacuous but valid).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,41 +49,6 @@ def gaussian_boundary_bound(variance: float, eps: float) -> float:
     if eps <= 0:
         raise HypothesisError("eps must be positive")
     return (_SQRT_PI / math.sqrt(variance) + 1.0) * eps
-
-
-# ---------------------------------------------------------------------------
-# Concentration kernels
-# ---------------------------------------------------------------------------
-
-
-def bernstein_bound(t: float, psi1_norms) -> float:
-    """Sub-exponential sum tail with the practical constant 1/2."""
-    norms = np.asarray(psi1_norms, dtype=float)
-    if t <= 0 or norms.size == 0 or np.any(norms <= 0):
-        raise HypothesisError("t > 0 and positive sub-exponential norms required")
-    quad = t * t / float(np.sum(norms**2))
-    lin = t / float(np.max(norms))
-    return 2.0 * math.exp(-0.5 * min(quad, lin))
-
-
-def hoeffding_bound(t: float, widths) -> float:
-    w = np.asarray(widths, dtype=float)
-    if t <= 0 or w.size == 0 or np.any(w <= 0):
-        raise HypothesisError("t > 0 and positive interval widths required")
-    return 2.0 * math.exp(-2.0 * t * t / float(np.sum(w**2)))
-
-
-def exp_mean_bound(n: int, a: float) -> float:
-    """Tail of the mean of n unit-rate exponentials deviating by a."""
-    if n < 1 or a <= 0:
-        raise HypothesisError("n >= 1 and a > 0 required")
-    return 2.0 * math.exp(-0.5 * min(n * a * a / 16.0, n * a / 4.0))
-
-
-def gaussian_lipschitz_bound(t: float, lip: float) -> float:
-    if t <= 0 or lip <= 0:
-        raise HypothesisError("t > 0 and Lipschitz constant > 0 required")
-    return 2.0 * math.exp(-t * t / (2.0 * lip * lip))
 
 
 def quad_form_bound(eps: float, k: int, m1: float) -> float:
@@ -153,26 +117,6 @@ def sinr_sensitivity(config: SystemConfig, model: ScalarModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Rate bounds
-# ---------------------------------------------------------------------------
-
-
-def kf_rate(k: int, c: float) -> float:
-    """Ky Fan convergence rate c (ln K)^{1/3} / K^{1/3}."""
-    if k < 3 or c <= 0:
-        raise HypothesisError("k >= 3 and c > 0 required")
-    return c * (math.log(k) ** (1.0 / 3.0)) / (k ** (1.0 / 3.0))
-
-
-def sep_rate(k: int, lm_list, c_check: float) -> float:
-    """SEP deviation rate: mean sensitivity times the Ky Fan rate."""
-    lms = np.asarray(lm_list, dtype=float)
-    if lms.size == 0 or np.any(lms <= 0):
-        raise HypothesisError("sensitivity factors must be positive")
-    return float(np.mean(lms)) * kf_rate(k, c_check)
-
-
-# ---------------------------------------------------------------------------
 # Tail cascades
 # ---------------------------------------------------------------------------
 
@@ -187,8 +131,7 @@ class CascadeParams:
     sigma2_noise: float
     gamma: float
     c_max: float         # spread of |s|^2 over the constellation
-    band_g: float        # line/ray Gaussian band constants per component
-    band_h: float
+    band_g: float        # line/ray Gaussian band constant of either component
     band_k: float
     alpha_bar: float
     ezq_abs: float       # |E[Z^dag q(alpha_bar Z)]|
@@ -246,7 +189,7 @@ def cascade_params(config: SystemConfig, shaping: ShapingFunction,
         m0=quant.m0, m1=assumption_m1(shaping, config.gamma),
         sigma_s2=config.sigma2_sym, sigma2_noise=config.sigma2_noise,
         gamma=config.gamma, c_max=float(np.max(mags) - np.min(mags)) or 1e-12,
-        band_g=quant.band_constant("real"), band_h=quant.band_constant("imag"),
+        band_g=quant.band_constant,
         band_k=quant.squared_band_constant,
         alpha_bar=model.input_scale,
         ezq_abs=model.input_scale * abs(model.linear_gain),
@@ -422,7 +365,7 @@ def _envelope_threshold(p: CascadeParams, delta: float, squared: bool) -> float:
     """Dimension above which the envelope smoothing step is admissible."""
     if squared:
         return (12.0 * p.m0**2 / p.alpha_bar * p.band_k / delta) ** 4
-    base = 12.0 * math.sqrt(2.0 * p.m0**2 / p.alpha_bar * max(p.band_g, p.band_h))
+    base = 12.0 * math.sqrt(2.0 * p.m0**2 / p.alpha_bar * p.band_g)
     return (base / delta) ** 8
 
 
@@ -582,8 +525,3 @@ class BoundReport:
         if self.empirical is None:
             return None
         return bool(self.empirical <= self.bound)
-
-    def to_json_line(self) -> str:
-        payload = {"name": self.name, "inputs": self.inputs, "bound": self.bound,
-                   "empirical": self.empirical, "holds": self.holds}
-        return json.dumps(payload, sort_keys=True, default=float)

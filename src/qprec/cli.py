@@ -304,8 +304,10 @@ def _suite_converge_sinr(cfg: ExperimentConfig):
     records = _run_cells(cfg, cell)
     means = _ladder_means(records, "sinr_gap", cfg)
     rel = _ladder_means(records, "sinr_rel_gap", cfg)
-    decreasing = all(a > b for a, b in zip(means, means[1:]))
-    return records, {"gap_decreasing": decreasing, "final_rel_gap_below_5pct": rel[-1] < 0.05}
+    checks = {"final_rel_gap_below_5pct": rel[-1] < 0.05}
+    if len(means) > 1:
+        checks["gap_decreasing"] = all(a > b for a, b in zip(means, means[1:]))
+    return records, checks
 
 
 @suite("converge-sep")

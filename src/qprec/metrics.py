@@ -190,18 +190,6 @@ def sep_bar(model: ScalarModel, rule: DecisionRule, config: SystemConfig,
     return sep_from_samples(y, s, rule)
 
 
-def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
-    """95 % Wilson score interval; preferred in the small-probability regime."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    z = 1.96
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1 - p) / trials + z * z / (4 * trials**2)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
-
-
 def ky_fan_distance(x: np.ndarray, y: np.ndarray) -> float:
     """Empirical Ky Fan distance between paired samples.
 

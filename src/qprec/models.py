@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .quantizer import GaussianMoments, QuantizerSpec, gaussian_moments, quantize
-from .spectral import MpLaw, mp_moment, sample_channel, sample_singular_values, theta_interval
+from .spectral import MpLaw, mp_moment, sample_channel, sample_singular_values
 from .stochastic import (
     DegenerateDrawError,
     RngStream,
@@ -60,14 +60,16 @@ class SystemConfig:
             raise ValueError("aspect ratio N/K must exceed 1")
         if not np.isfinite(self.sigma2_noise) or self.sigma2_noise < 0:
             raise ValueError("noise variance must be finite and >= 0")
-        if self.power_limit <= 0:
-            raise ValueError("power limit must be positive")
+        if not (np.isfinite(self.power_limit) and self.power_limit > 0):
+            raise ValueError("power limit must be finite and positive")
         pts = np.asarray(self.constellation, dtype=complex)
         if pts.size == 0 or np.any(pts == 0):
             raise ValueError("constellation must be nonempty and exclude 0")
 
     @classmethod
     def with_gamma(cls, k: int, gamma: float, **kwargs) -> "SystemConfig":
+        if not (np.isfinite(gamma) and gamma > 0):
+            raise ValueError("gamma must be finite and positive")
         n = int(round(gamma * k))
         return cls(n=n, k=k, **kwargs)
 
@@ -107,10 +109,10 @@ class ShapingFunction:
     def __post_init__(self) -> None:
         if self.family not in ("mf", "zf", "rzf"):
             raise ValueError("family must be one of 'mf', 'zf', 'rzf'")
-        if self.family == "rzf" and self.rho <= 0:
-            raise ValueError("rzf requires rho > 0")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if self.family == "rzf" and not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rzf requires a finite rho > 0")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
 
     def __call__(self, d: np.ndarray | float) -> np.ndarray | float:
         d = np.asarray(d, dtype=float)
@@ -127,17 +129,6 @@ class ShapingFunction:
     def label(self) -> str:
         base = self.family if self.family != "rzf" else f"rzf({self.rho:g})"
         return base if self.scale == 1.0 else f"{self.scale:g}*{base}"
-
-    def sup_bound(self, gamma: float) -> float:
-        lo, hi = theta_interval(gamma)
-        grid = np.linspace(lo, hi, 4001)
-        return float(np.max(np.abs(self(grid))))
-
-    def lipschitz_bound(self, gamma: float) -> float:
-        lo, hi = theta_interval(gamma)
-        grid = np.linspace(lo, hi, 4001)
-        vals = np.asarray(self(grid))
-        return float(np.max(np.abs(np.diff(vals) / np.diff(grid))))
 
 
 def mf() -> ShapingFunction:

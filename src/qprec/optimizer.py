@@ -48,8 +48,8 @@ class FamilyGrid:
     include_endpoints: bool = True
 
     def __post_init__(self) -> None:
-        if self.rho_min <= 0 or self.rho_max <= self.rho_min or self.points < 2:
-            raise ValueError("need 0 < rho_min < rho_max and at least two points")
+        if not (0 < self.rho_min < self.rho_max < math.inf) or self.points < 2:
+            raise ValueError("need 0 < rho_min < rho_max < inf and at least two points")
 
     @property
     def rhos(self) -> np.ndarray:
@@ -60,11 +60,6 @@ class FamilyGrid:
         if self.include_endpoints:
             out = [mf(), zf()] + out
         return out
-
-    def certify(self, gamma: float) -> dict[str, tuple[float, float]]:
-        """(sup bound, Lipschitz bound) on the bulk support per member."""
-        return {f.label: (f.sup_bound(gamma), f.lipschitz_bound(gamma))
-                for f in self.members()}
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +94,6 @@ def solve_asymptotic(config: SystemConfig, quant: QuantizerSpec,
         profile.append(ProfilePoint(label=f.label,
                                     rho=f.rho if f.family == "rzf" else float("nan"),
                                     value=v))
-    if not values:
-        raise RuntimeError("empty grid")
     best_idx = int(np.argmax(values))
     best, best_val = members[best_idx], values[best_idx]
 

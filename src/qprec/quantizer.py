@@ -54,28 +54,30 @@ class QuantizerSpec:
             return (self.clip - self.step / 2.0) * np.sqrt(2.0)
         return self.radius
 
-    def line_count(self, component: str) -> int:
-        _check_component(component)
+    # Each component's discontinuity set has these counts; the two components agree.
+    @property
+    def line_count(self) -> int:
         if self.kind == "uniform_iq":
             return self.levels - 1
         return 0
 
-    def ray_count(self, component: str) -> int:
-        _check_component(component)
+    @property
+    def ray_count(self) -> int:
         if self.kind == "phase_ce":
             return self.phases
         return 0
 
-    def band_constant(self, component: str) -> float:
+    @property
+    def band_constant(self) -> float:
         """Gaussian mass-per-width constant of the discontinuity set."""
-        return (2.0 / _SQRT_PI) * self.line_count(component) \
-            + (1.0 + 1.0 / _SQRT_PI) * self.ray_count(component)
+        return (2.0 / _SQRT_PI) * self.line_count \
+            + (1.0 + 1.0 / _SQRT_PI) * self.ray_count
 
     @property
     def squared_band_constant(self) -> float:
         """Same constant for |q|^2, whose jumps lie on both components' sets."""
-        return (2.0 / _SQRT_PI) * (self.line_count("real") + self.line_count("imag")) \
-            + (1.0 + 1.0 / _SQRT_PI) * (self.ray_count("real") + self.ray_count("imag"))
+        return (2.0 / _SQRT_PI) * (2 * self.line_count) \
+            + (1.0 + 1.0 / _SQRT_PI) * (2 * self.ray_count)
 
     # -- scalar rail structure (separable kinds) ----------------------------
 
@@ -113,24 +115,24 @@ def _check_component(component: str) -> None:
 
 def one_bit(amplitude: float = 1.0 / np.sqrt(2.0)) -> QuantizerSpec:
     """Sign per I/Q rail with outputs +-amplitude: the two-level uniform quantizer."""
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not (np.isfinite(amplitude) and amplitude > 0):
+        raise ValueError("amplitude must be finite and positive")
     return uniform_iq(levels=2, step=2.0 * amplitude)
 
 
 def uniform_iq(levels: int, step: float) -> QuantizerSpec:
     if levels < 2 or levels % 2:
         raise ValueError("levels must be an even integer >= 2")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and positive")
     return QuantizerSpec(kind="uniform_iq", levels=int(levels), step=float(step))
 
 
 def phase_ce(phases: int, radius: float = 1.0) -> QuantizerSpec:
     if phases < 2:
         raise ValueError("need at least 2 phases")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive")
     return QuantizerSpec(kind="phase_ce", phases=int(phases), radius=float(radius))
 
 
@@ -424,7 +426,7 @@ def envelope_gap_expectation(spec: QuantizerSpec, component: str, tau: float,
             x = u + 0j if component == "real" else 1j * u
             return np.abs(env.upper(alpha_bar * x) - env.lower(alpha_bar * x))
         value = _gauss_expect_1d(gap, _band_breaks(spec, tau, alpha_bar))
-    bound = (2.0 * spec.m0 / alpha_bar) * spec.band_constant(component) * tau
+    bound = (2.0 * spec.m0 / alpha_bar) * spec.band_constant * tau
     return value, bound
 
 
@@ -456,6 +458,6 @@ def envelope_product_gap(spec: QuantizerSpec, component: str, tau: float,
             z = u + 0j if component == "real" else 1j * u
             return diff(z)
         gap = abs(_gauss_expect_1d(diff1d, _band_breaks(spec, tau, alpha_bar)))
-    bound = np.sqrt(2.0) * spec.m0 * np.sqrt(spec.band_constant(component) / alpha_bar) \
+    bound = np.sqrt(2.0) * spec.m0 * np.sqrt(spec.band_constant / alpha_bar) \
         * np.sqrt(tau)
     return gap, bound

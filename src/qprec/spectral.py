@@ -65,17 +65,6 @@ def theta_interval(gamma: float) -> tuple[float, float]:
     return (0.5 - half, 1.5 + half)
 
 
-def mp_density(x: np.ndarray | float, law: MpLaw) -> np.ndarray | float:
-    """Density of the squared singular value; zero outside [a, b]."""
-    a, b = law.lambda_edges
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = (arr > a) & (arr < b)
-    out = np.zeros_like(arr)
-    xi = arr[inside]
-    out[inside] = np.sqrt((xi - a) * (b - xi)) / (2.0 * np.pi * law.c * xi)
-    return out if np.ndim(x) else float(out[0])
-
-
 def mp_moment(fn: Callable[[np.ndarray], np.ndarray], law: MpLaw) -> float:
     """E[fn(d)] for d distributed with the limiting singular-value law.
 

@@ -74,7 +74,19 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     ("[grid]", lambda text: text + "[grid]\npoints = 1\n"),
     ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder =")),
     ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = 1 1")),
-], ids=["trials", "k_ladder", "gamma", "eps", "grid", "empty_k_ladder", "repeated_seed"])
+    ("gamma must be finite", lambda text: text.replace("gamma = 4.0", "gamma = inf")),
+    ("power limit must be finite", lambda text: text.replace("gamma = 4.0",
+                                                             "gamma = 4.0\npower_limit = nan")),
+    ("rho", lambda text: text.replace("rho = 0.25", "rho = nan")),
+    ("[grid]", lambda text: text + "[grid]\nrho_min = nan\n"),
+    ("amplitude", lambda text: text.replace("kind = one_bit", "kind = one_bit\namplitude = nan")),
+    ("radius", lambda text: text.replace("kind = one_bit",
+                                         "kind = phase_ce\nphases = 8\nradius = nan")),
+    ("step", lambda text: text.replace("kind = one_bit",
+                                       "kind = uniform_iq\nlevels = 4\nstep = nan")),
+], ids=["trials", "k_ladder", "gamma", "eps", "grid", "empty_k_ladder", "repeated_seed",
+        "gamma_inf", "power_limit_nan", "rho_nan", "rho_min_nan", "amplitude_nan",
+        "radius_nan", "step_nan"])
 def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
     path = _write_config(tmp_path, "mp-check")
     path.write_text(edit(path.read_text()))
@@ -155,6 +167,14 @@ def test_converge_sinr_small_ladder(tmp_path):
     assert rc in (0, 1)  # pass/fail is a numerical outcome; plumbing must work
     rows = (tmp_path / "out" / "results.csv").read_text()
     assert "sinr_gap" in rows
+
+
+def test_converge_sinr_one_entry_ladder_has_no_trend_check(tmp_path):
+    path = _write_config(tmp_path, "converge-sinr", k_ladder="16", seeds="1", trials=50)
+    cli.main(["run", str(path)])
+    checks = json.loads((tmp_path / "out" / "summary.json").read_text())["checks"]
+    assert "gap_decreasing" not in checks
+    assert "final_rel_gap_below_5pct" in checks
 
 
 def test_tail_audit_suite(tmp_path):

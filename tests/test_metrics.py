@@ -241,8 +241,3 @@ def test_l2_deviation_shift():
     assert est.std_error < 1e-12
     ident = met.l2_deviation(y, y)
     assert ident.value == 0.0
-
-
-def test_wilson_interval_contains_point_estimate():
-    lo, hi = met.wilson_interval(3, 1000)
-    assert 0.0 <= lo < 3 / 1000 < hi <= 1.0

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from qprec import models as md
+from qprec import optimizer as opt
 from qprec import quantizer as qt
 from qprec.spectral import mp_moment
 from qprec.stochastic import DegenerateDrawError, RngStream
@@ -25,6 +26,32 @@ def test_config_validation():
     assert cfg.sigma2_sym == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: md.SystemConfig(n=16, k=4, power_limit=math.nan),
+    lambda: md.SystemConfig(n=16, k=4, power_limit=math.inf),
+    lambda: md.SystemConfig.with_gamma(k=8, gamma=math.inf),
+    lambda: md.ShapingFunction("rzf", rho=math.nan),
+    lambda: md.ShapingFunction("rzf", rho=math.inf),
+    lambda: md.ShapingFunction("mf", scale=math.nan),
+    lambda: md.ShapingFunction("mf", scale=math.inf),
+    lambda: opt.FamilyGrid(rho_min=math.nan),
+    lambda: opt.FamilyGrid(rho_max=math.nan),
+    lambda: opt.FamilyGrid(rho_max=math.inf),
+    lambda: qt.one_bit(math.nan),
+    lambda: qt.one_bit(math.inf),
+    lambda: qt.uniform_iq(4, math.nan),
+    lambda: qt.uniform_iq(4, math.inf),
+    lambda: qt.phase_ce(8, math.nan),
+    lambda: qt.phase_ce(8, math.inf),
+], ids=["power_limit_nan", "power_limit_inf", "gamma_inf", "rho_nan", "rho_inf",
+        "scale_nan", "scale_inf", "rho_min_nan", "rho_max_nan", "rho_max_inf",
+        "amplitude_nan", "amplitude_inf", "step_nan", "step_inf", "radius_nan",
+        "radius_inf"])
+def test_constructors_reject_nonfinite(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_shaping_families():
     d = np.array([0.5, 1.0, 1.5])
     assert np.allclose(md.mf()(d), d)
@@ -32,9 +59,6 @@ def test_shaping_families():
     assert np.allclose(md.rzf(1.0)(d), d / (d * d + 1.0))
     with pytest.raises(ValueError):
         md.rzf(0.0)
-    f = md.rzf(0.25)
-    assert f.sup_bound(4.0) > 0
-    assert f.lipschitz_bound(4.0) < np.inf
 
 
 def test_scaled_family_member():

@@ -87,9 +87,9 @@ def test_quantize_rejects_nonfinite():
 
 
 def test_geometry_counts():
-    assert ONE_BIT.line_count("real") == 1 and ONE_BIT.ray_count("real") == 0
-    assert UNIFORM.line_count("real") == 3
-    assert PHASE.ray_count("imag") == 4 and PHASE.line_count("imag") == 0
+    assert ONE_BIT.line_count == 1 and ONE_BIT.ray_count == 0
+    assert UNIFORM.line_count == 3
+    assert PHASE.ray_count == 4 and PHASE.line_count == 0
     assert ONE_BIT.m0 == pytest.approx(1.0)
     assert PHASE.m0 == pytest.approx(1.0)
 
@@ -255,5 +255,5 @@ def test_signed_product_gap_below_sqrt_bound(tau):
     gap, bound = qt.envelope_product_gap(ONE_BIT, "real", tau, 1.0)
     assert 0.0 <= gap <= bound
     expected = math.sqrt(2.0) * ONE_BIT.m0 * math.sqrt(
-        ONE_BIT.band_constant("real") / 1.0) * math.sqrt(tau)
+        ONE_BIT.band_constant / 1.0) * math.sqrt(tau)
     assert bound == pytest.approx(expected)

@@ -15,7 +15,9 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      "value-gap bound"),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
      "phase_ce8 k=8 seed=1 optimal_gap_report "),
-], ids=["convergence_study", "optimize_shaping", "output_digests"])
+    ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
+     "uniform_iq4 k=8 seed=- received_gap_tail "),
+], ids=["convergence_study", "optimize_shaping", "output_digests", "output_digests_tails"])
 def test_script_runs(script, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script] + args)
     runpy.run_path(str(SCRIPTS / script), run_name="__main__")

@@ -26,13 +26,6 @@ def test_edges():
     assert 0.0 < lo < hi < 2.0
 
 
-def test_density_zero_outside_support():
-    a, b = LAW4.lambda_edges
-    assert sp.mp_density(a - 0.01, LAW4) == 0.0
-    assert sp.mp_density(b + 0.01, LAW4) == 0.0
-    assert sp.mp_density(1.0, LAW4) > 0.0
-
-
 def test_density_normalization_and_mean():
     # quadrature oracle: integrate the density directly
     total = sp.mp_moment(lambda d: np.ones_like(d), LAW4)
