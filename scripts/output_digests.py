@@ -12,7 +12,10 @@ so "bitwise against the parent" is a diff of two runs:
 
 The default grid is {one_bit, phase_ce(8), uniform_iq(4, 0.5)} x K in
 {16, 64, 1024} x seeds {1, 2}; the original model's channel SVD dominates
-its time at K = 1024.  The three tail cascades are hashed per quantizer and
+its time at K = 1024.  Its 12 trials fit in one chunk of draws at K = 16
+and 64, so a second run crosses the chunk boundaries of every sampler there:
+
+    PYTHONPATH=src python3 scripts/output_digests.py --k 16 64 --trials 150  The three tail cascades are hashed per quantizer and
 K (of the system their constants come from) at eps 0.5, evaluated at
 K = 10^3 and 10^6.
 """

@@ -371,8 +371,8 @@ def _envelope_threshold(p: CascadeParams, delta: float, squared: bool) -> float:
 
 def interference_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
     """Tail bound for the interference gain leaving its limit by eps."""
-    if eps <= 0 or k < 1:
-        raise HypothesisError("eps > 0 and k >= 1 required")
+    if not (math.isfinite(eps) and eps > 0) or k < 1:
+        raise HypothesisError("finite eps > 0 and k >= 1 required")
     ns = _interference_k_layer(_interference_nodes(eps, p), k, p)
     terms = {
         "gaussian_block": 1594.0 * math.exp(-k * ns["eps_t1"]),
@@ -399,8 +399,8 @@ def interference_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
 
 def signal_gain_tail(eps: float, k: int, p: CascadeParams) -> TailBound:
     """Tail bound for the signal gain leaving its limit by eps."""
-    if eps <= 0 or k < 1:
-        raise HypothesisError("eps > 0 and k >= 1 required")
+    if not (math.isfinite(eps) and eps > 0) or k < 1:
+        raise HypothesisError("finite eps > 0 and k >= 1 required")
     td = product_deviation_threshold
     hd = p.hat_delta
     ns: dict[str, float] = {}

@@ -149,8 +149,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("field 'seeds' must list at least one seed, each once")
     if trials < 1:
         raise ConfigError("field 'trials' must be at least 1")
-    if not eps > 0:
-        raise ConfigError("field 'eps' must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError("field 'eps' must be finite and positive")
     if not k_ladder or list(k_ladder) != sorted(set(k_ladder)):
         raise ConfigError("field 'k_ladder' must be nonempty and strictly increasing")
     cname = cp.get("system", "constellation", fallback=None)

@@ -20,7 +20,6 @@ per draw for the finite models, in expectation for the scalar model.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
@@ -300,8 +299,14 @@ class RawDraw:
 
     @cached_property
     def norms(self) -> tuple[float, float, float]:
-        """(||s||, ||g1||, ||z1||), shared by every evaluation of this draw."""
-        return tuple(complex_norm(v) for v in (self.s, self.g1, self.z1))
+        """(||s||, ||g1||, ||z1||), shared by every evaluation of this draw.
+
+        Raises DegenerateDrawError when one of them vanishes.
+        """
+        norms = tuple(complex_norm(v) for v in (self.s, self.g1, self.z1))
+        if min(norms) <= 0:
+            raise DegenerateDrawError("degenerate draw in the equivalent model")
+        return norms
 
 
 def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
@@ -314,90 +319,124 @@ def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
                    s=sample_constellation(config.points, k, rng))
 
 
-def scale_pair(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunction],
-               quant: QuantizerSpec) -> tuple[list[float], list[float], list[float],
-                                              np.ndarray, np.ndarray]:
+# Complex entries in one (draws x members x N) array of a chunk: 256 KB, small
+# enough that the chunks add no visible peak memory.
+_CHUNK_ENTRIES = 2**14
+
+
+def _chunk_draws(config: SystemConfig, members: int) -> int:
+    """Draws per chunk: as many as keep draws * members * N <= _CHUNK_ENTRIES, at least one."""
+    return max(1, _CHUNK_ENTRIES // (members * config.n))
+
+
+def draw_chunks(config: SystemConfig, rng: RngStream, trials: int, members: int,
+                users: int = 0):
+    """The trials' raw draws, in chunks of ``_chunk_draws(config, members)``.
+
+    Yields (the chunk's slice of the trials, its draws, their noise).  Each
+    draw is followed by the noise of its first ``users`` users (none for 0), so
+    the stream is read in the order of one trial at a time.  A draw with a
+    vanishing norm raises DegenerateDrawError as soon as it is drawn; nothing
+    is redrawn.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    size = _chunk_draws(config, members)
+    for start in range(0, trials, size):
+        trial_slice = slice(start, min(start + size, trials))
+        draws, noise = [], []
+        for _ in range(trial_slice.stop - start):
+            draw = sample_raw_draw(config, rng)
+            draw.norms  # computed now, so a degenerate draw raises at once
+            draws.append(draw)
+            if users:
+                noise.append(sample_complex_gaussian(users, config.sigma2_noise, rng))
+        yield trial_slice, draws, noise
+
+
+def _stack(draws: Sequence[RawDraw], names: str) -> list[np.ndarray]:
+    """Each named field of every draw as a (draws x length) array."""
+    return [np.array([getattr(draw, name) for draw in draws]) for name in names.split()]
+
+
+def _norms(draws: Sequence[RawDraw]) -> np.ndarray:
+    """(||s||, ||g1||, ||z1||) of every draw, each as a (draws x 1) column."""
+    return np.array([draw.norms for draw in draws]).T[..., None]
+
+
+def scale_pair(draws: Sequence[RawDraw], config: SystemConfig,
+               shapings: Sequence[ShapingFunction], quant: QuantizerSpec
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First stage of a block evaluation: (alpha, eta, ||q||, q(alpha z1), shat).
 
-    Entry or row i belongs to ``shapings[i]``.  shat is the shaped precoder
-    input embedded in C^N (zero past column K), so alpha = ||shat|| / ||z1||,
-    and eta enforces the power budget on this draw.  One quantize call covers
-    the block.  Raises DegenerateDrawError when a norm vanishes for any member.
+    Entry [i, j] of each array belongs to ``draws[i]`` under ``shapings[j]``:
+    alpha, eta and ||q|| are (draws x members), q and shat (draws x members x N).
+    shat is the shaped precoder input embedded in C^N (zero past column K), so
+    alpha = ||shat|| / ||z1||, and eta enforces the power budget on each draw.
+    One quantize call covers the block.  Raises DegenerateDrawError when a norm
+    vanishes for any draw and member.
     """
     n, k = config.n, config.k
-    s_norm, g1_norm, z1_norm = draw.norms
-    if min(s_norm, g1_norm, z1_norm) <= 0:
-        raise DegenerateDrawError("degenerate draw in the equivalent model")
-    shat = np.zeros((len(shapings), n), dtype=complex)
-    for row, f in zip(shat, shapings):
-        np.multiply((s_norm / g1_norm) * np.asarray(f(draw.d)), draw.g1, out=row[:k])
+    s_norm, g1_norm, z1_norm = _norms(draws)
+    d, g1, z1 = _stack(draws, "d g1 z1")
+    shat = np.zeros((len(draws), len(shapings), n), dtype=complex)
+    for j, f in enumerate(shapings):
+        np.multiply((s_norm / g1_norm) * np.asarray(f(d)), g1, out=shat[:, j, :k])
     shat_norm = complex_norm(shat)
-    alpha = [x / z1_norm for x in shat_norm]
-    if min(shat_norm) <= 0 or not all(map(math.isfinite, alpha)):
+    alpha = shat_norm / z1_norm
+    if not (shat_norm > 0).all() or not np.isfinite(alpha).all():
         raise DegenerateDrawError("degenerate draw in the equivalent model")
-    qz = quantize(quant, np.multiply.outer(alpha, draw.z1))
+    qz = quantize(quant, alpha[..., None] * z1[:, None])
     qz_norm = complex_norm(qz)
-    if min(qz_norm) <= 0:
+    if not (qz_norm > 0).all():
         raise DegenerateDrawError("degenerate quantized draw")
-    budget = np.sqrt(config.power_limit * n)
-    return alpha, [float(budget / x) for x in qz_norm], qz_norm, qz, shat
+    return alpha, np.sqrt(config.power_limit * n) / qz_norm, qz_norm, qz, shat
 
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One raw draw evaluated under a block of shapings; one entry per shaping."""
+    """Raw draws evaluated under a block of shapings; entry [i, j] is draw i, shaping j."""
 
-    alpha: list[float]    # input scale
-    eta: list[float]      # power scale
-    qnorm: list[float]    # ||q(alpha z1)||
-    c1: list[complex]     # linear gain
-    c2: list[float]       # distortion rms
-    t_s: list[complex]    # signal gain
-    t_g: list[float]      # interference gain
+    alpha: np.ndarray    # input scale
+    eta: np.ndarray      # power scale
+    qnorm: np.ndarray    # ||q(alpha z1)||
+    c1: np.ndarray       # linear gain
+    c2: np.ndarray       # distortion rms
+    t_s: np.ndarray      # signal gain
+    t_g: np.ndarray      # interference gain
 
 
-def evaluate(draw: RawDraw, config: SystemConfig, shapings: Sequence[ShapingFunction],
-             quant: QuantizerSpec) -> Evaluation:
-    """Equivalent-model gains of one draw under every shaping of a block.
+def evaluate(draws: Sequence[RawDraw], config: SystemConfig,
+             shapings: Sequence[ShapingFunction], quant: QuantizerSpec) -> Evaluation:
+    """Equivalent-model gains of each draw under every shaping of a block.
 
-    The shapings share ``quant``.  The vector work runs once over the block:
-    one quantize call, one reflector set-up each for z1, g1 and s, and one
-    np.vecdot call per dot product.  Each member's scalars follow the
-    arithmetic of a block of one, so every entry equals its shaping's
-    evaluation alone, bit for bit.  Raises DegenerateDrawError on degeneracy.
+    The shapings share ``quant``.  The vector work runs once over the
+    (draws x members) block: one quantize call, one reflector set-up per draw
+    each for z1, g1 and s, and one np.vecdot call per dot product.  Each entry
+    follows the arithmetic of one draw and one shaping alone, so it equals that
+    evaluation bit for bit.  Raises DegenerateDrawError on degeneracy.
     """
-    alpha, eta, qnorm, qz, shat = scale_pair(draw, config, shapings, quant)
-    d, g1, z1, z2_tail, k = draw.d, draw.g1, draw.z1, draw.z2[1:], config.k
-    s_norm, g1_norm, z1_norm = draw.norms
-    z1_sq = z1_norm**2
-    c1 = [complex(dot / (a * z1_sq)) for dot, a in zip(np.vecdot(z1, qz), alpha)]
-    z2_norm = complex_norm(z2_tail)
-    c2 = [x / z2_norm for x in complex_norm(complement_project(z1, qz))]
-    del qz  # freed before the next (members x N) arrays, to bound peak memory
-    # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K rows.
-    mixed = complement_embed(shat, z2_tail)[:, :k]
-    w = np.multiply.outer(c1, d) * shat[:, :k] + np.multiply.outer(c2, d) * mixed
+    alpha, eta, qnorm, qz, shat = scale_pair(draws, config, shapings, quant)
+    d, g1, z1, z2, s, g2 = _stack(draws, "d g1 z1 z2 s g2")
+    # A (draws x 1 x length) stack broadcasts a draw's vector over the members.
+    d, g1, z1, z2_tail, k = d[:, None], g1[:, None], z1[:, None], z2[:, 1:], config.k
+    s_norm, g1_norm, z1_norm = _norms(draws)
+    # Python's float power (libm pow): numpy's x * x rounds differently in rare cases.
+    z1_sq = np.array([x ** 2 for x in z1_norm.ravel().tolist()])[:, None]
+    c1 = np.vecdot(z1, qz) / (alpha * z1_sq)
+    c2 = complex_norm(complement_project(z1, qz)) / complex_norm(z2_tail)[:, None]
+    del qz  # freed before the next (draws x members x N) arrays, to bound peak memory
+    # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K entries.
+    mixed = complement_embed(shat, z2_tail[:, None])[..., :k]
+    w = c1[..., None] * d * shat[..., :k] + c2[..., None] * d * mixed
     # R(s) g2 = (s^H g2 / ||s||, B(s)^H g2): the split of g2 along s and its complement.
-    g2_rot = reflect(draw.s, draw.g2)
-    denom = complex_norm(g2_rot[1:])
-    if denom <= 0:
+    g2_rot = reflect(s, g2)
+    denom = complex_norm(g2_rot[:, 1:])
+    if not (denom > 0).all():
         raise DegenerateDrawError("degenerate rotated interference draw")
-    t_g = [x / denom for x in complex_norm(complement_project(g1, w))]
-    t_s = [complex(dot / (g1_norm * s_norm) - tg * g2_rot[0] / s_norm)
-           for dot, tg in zip(np.vecdot(g1, w), t_g)]
+    t_g = complex_norm(complement_project(g1, w)) / denom[:, None]
+    t_s = np.vecdot(g1, w) / (g1_norm * s_norm) - t_g * g2_rot[:, :1] / s_norm
     return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1, c2=c2, t_s=t_s, t_g=t_g)
-
-
-def _trials(config: SystemConfig, rng: RngStream, trials: int, users: int):
-    """Per trial: one raw draw, then the noise of the first ``users`` users.
-
-    A degenerate draw is not redrawn: ``evaluate`` raises DegenerateDrawError.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    for _ in range(trials):
-        draw = sample_raw_draw(config, rng)
-        yield draw, sample_complex_gaussian(users, config.sigma2_noise, rng)
 
 
 def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
@@ -414,18 +453,20 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
                transmit_power=np.empty(trials),
                y_hat=np.empty((trials, k), dtype=complex),
                s=np.empty((trials, k), dtype=complex))
-    for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=k)):
-        ev = evaluate(draw, config, [shaping], quant)
-        (alpha, eta, qnorm, c1, c2, t_s, t_g), = zip(*vars(ev).values())
-        out["signal_gain"][t] = t_s
-        out["interference_gain"][t] = t_g
-        out["linear_gain"][t] = c1
-        out["distortion_rms"][t] = c2
-        out["input_scale"][t] = alpha
-        out["power_scale"][t] = eta
-        out["transmit_power"][t] = eta ** 2 * qnorm ** 2 / config.n
-        out["y_hat"][t] = eta * (t_s * draw.s + t_g * draw.g2) + noise
-        out["s"][t] = draw.s
+    for rows, draws, noise in draw_chunks(config, rng, trials, 1, users=k):
+        ev = evaluate(draws, config, [shaping], quant)
+        alpha, eta, qnorm, c1, c2, t_s, t_g = (x[:, 0] for x in vars(ev).values())
+        s, g2 = _stack(draws, "s g2")
+        out["signal_gain"][rows] = t_s
+        out["interference_gain"][rows] = t_g
+        out["linear_gain"][rows] = c1
+        out["distortion_rms"][rows] = c2
+        out["input_scale"][rows] = alpha
+        out["power_scale"][rows] = eta
+        out["transmit_power"][rows] = [e ** 2 * q ** 2 / config.n
+                                       for e, q in zip(eta.tolist(), qnorm.tolist())]
+        out["y_hat"][rows] = eta[:, None] * (t_s[:, None] * s + t_g[:, None] * g2) + noise
+        out["s"][rows] = s
     return EquivalentBatch(**out)
 
 
@@ -490,9 +531,10 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
                    trials: int) -> list[CoupledSamples]:
     """Samples of user 0 under every shaping, all on the same draws.
 
-    Each trial draws one RawDraw and its noise, as ``CoupledModel.sample`` does,
-    and evaluates every shaping on them as one block: common random numbers, one
-    spectrum, one quantize call.  Each shaping's limit is its ``asymptotic_model``.
+    Each trial draws one RawDraw and its noise, as ``CoupledModel.sample`` does;
+    a chunk of trials is evaluated under every shaping as one block: common
+    random numbers, one spectrum per trial, one quantize call per chunk.  Each
+    shaping's limit is its ``asymptotic_model``.
     ``y_mid``'s moments come from one call over all trials' scales.
     """
     if not shapings:
@@ -501,17 +543,19 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
     # Row i of each (members x trials) array belongs to shapings[i].
     user = np.empty((3, trials), dtype=complex)  # s, g2 and noise of user 0
     alpha, eta, t_g = (np.empty((len(shapings), trials)) for _ in range(3))
-    t_s, y_hat = (np.empty((len(shapings), trials), dtype=complex) for _ in range(2))
-    for t, (draw, noise) in enumerate(_trials(config, rng, trials, users=1)):
-        ev = evaluate(draw, config, shapings, quant)
-        s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
-        user[:, t] = s_k, g2_k, n_k
-        # Scalar by scalar: numpy's array product of complex arrays fuses
-        # multiply-adds and rounds differently.
-        y_hat[:, t] = [e * (ts * s_k + tg * g2_k) + n_k
-                       for e, ts, tg in zip(ev.eta, ev.t_s, ev.t_g)]
-        alpha[:, t], eta[:, t], t_s[:, t], t_g[:, t] = ev.alpha, ev.eta, ev.t_s, ev.t_g
+    t_s = np.empty((len(shapings), trials), dtype=complex)
+    for cols, draws, noise in draw_chunks(config, rng, trials, len(shapings), users=1):
+        ev = evaluate(draws, config, shapings, quant)
+        user[:, cols] = [[draw.s[0] for draw in draws], [draw.g2[0] for draw in draws],
+                         [n[0] for n in noise]]
+        alpha[:, cols], eta[:, cols], t_s[:, cols], t_g[:, cols] = \
+            ev.alpha.T, ev.eta.T, ev.t_s.T, ev.t_g.T
     s, g2, noise = user
+    # Scalar by scalar: numpy's array product of complex arrays fuses
+    # multiply-adds and rounds differently.
+    y_hat = np.array([[e * (ts * s_k + tg * g2_k) + n_k
+                       for e, ts, tg, s_k, g2_k, n_k in zip(*rows, s, g2, noise)]
+                      for rows in zip(eta.tolist(), t_s.tolist(), t_g.tolist())])
     # Each limit quantity as a (members x 1) column, broadcast over the trials.
     moments = ShapedMoments(*np.array([astuple(m.moments) for m in scalars]).T[..., None])
     ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,

@@ -24,10 +24,10 @@ from .models import (
     ShapingFunction,
     SystemConfig,
     asymptotic_model,
+    draw_chunks,
     mf,
     rzf,
     sample_coupled,
-    sample_raw_draw,
     scale_pair,
     zf,
 )
@@ -145,18 +145,17 @@ def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
                           grid: FamilyGrid, rng: RngStream, trials: int) -> float:
     """Monte-Carlo estimate of E max over the grid of |finite - limit| scales.
 
-    Each draw's scale pairs come from one ``scale_pair`` call over the grid.
+    The scale pairs of a chunk of draws come from one ``scale_pair`` call over
+    the grid.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     members = grid.members()
     limits = [asymptotic_model(config, f, quant) for f in members]
     total = 0.0
-    for _ in range(trials):
-        draw = sample_raw_draw(config, rng)
-        alphas, etas = scale_pair(draw, config, members, quant)[:2]
-        total += max(math.hypot(eta - m.power_scale, alpha - m.input_scale)
-                     for alpha, eta, m in zip(alphas, etas, limits))
+    for _, draws, _ in draw_chunks(config, rng, trials, len(members)):
+        alphas, etas = scale_pair(draws, config, members, quant)[:2]
+        for alpha_row, eta_row in zip(alphas.tolist(), etas.tolist()):
+            total += max(math.hypot(eta - m.power_scale, alpha - m.input_scale)
+                         for alpha, eta, m in zip(alpha_row, eta_row, limits))
     return total / trials
 
 

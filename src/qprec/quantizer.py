@@ -407,17 +407,19 @@ def _band_breaks(spec: QuantizerSpec, tau: float, alpha_bar: float) -> np.ndarra
     return (thr[:, None] + widths[None, :]).ravel()
 
 
+def _check_scales(tau: float, alpha_bar: float) -> None:
+    if not (np.isfinite(tau) and np.isfinite(alpha_bar) and 0 < tau <= alpha_bar):
+        raise ValueError("requires finite 0 < tau <= alpha_bar")
+
+
 def envelope_gap_expectation(spec: QuantizerSpec, component: str, tau: float,
                              alpha_bar: float) -> tuple[float, float]:
     """(E|u_tau - l_tau| at CN(0, alpha_bar^2) input, proven bound C * tau).
 
     Requires 0 < tau <= alpha_bar, the regime the linear-in-tau bound covers.
     """
+    _check_scales(tau, alpha_bar)
     env = envelope(spec, component, tau)
-    if alpha_bar <= 0:
-        raise ValueError("alpha_bar must be positive")
-    if tau > alpha_bar:
-        raise ValueError("tau must not exceed alpha_bar")
     if spec.kind == "phase_ce":
         value = _gauss_expect_complex(
             lambda z: np.abs(env.upper(alpha_bar * z) - env.lower(alpha_bar * z)))
@@ -439,9 +441,8 @@ def envelope_product_gap(spec: QuantizerSpec, component: str, tau: float,
     the positive part and the upper envelope on the negative part.  The
     proven bound is sqrt(2) m0 sqrt(band_constant / alpha_bar) * sqrt(tau).
     """
+    _check_scales(tau, alpha_bar)
     env = envelope(spec, component, tau)
-    if alpha_bar <= 0 or tau <= 0 or tau > alpha_bar:
-        raise ValueError("requires 0 < tau <= alpha_bar")
 
     def diff(z: np.ndarray) -> np.ndarray:
         coord = np.real(z) if component == "real" else np.imag(z)

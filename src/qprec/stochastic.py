@@ -86,8 +86,8 @@ def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def complex_norm(x: np.ndarray) -> float | list[float]:
-    """np.linalg.norm of a complex vector, or the list of those of a matrix's rows.
+def complex_norm(x: np.ndarray) -> float | np.ndarray:
+    """np.linalg.norm of a complex vector, or the array of those of a stack's rows.
 
     The same dot products as np.linalg.norm (np.vecdot makes them row by
     row), so the same bits, without its dispatch.
@@ -95,37 +95,39 @@ def complex_norm(x: np.ndarray) -> float | list[float]:
     re, im = x.real, x.imag
     if x.ndim == 1:
         return math.sqrt(re.dot(re) + im.dot(im))
-    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
-def _householder_parts(v: np.ndarray) -> tuple[np.ndarray, float, complex]:
-    """(w, ||w||^2, sigma) of R(v); for a 2-D v, one row of w and one list entry
-    of the other two per row of v."""
+def _householder_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(w, ||w||^2, sigma) of R(v) for each vector along v's last axis.
+
+    ||w||^2 and sigma have v's shape without its last axis, so they broadcast
+    against the (..., N) operands of the reflectors.
+    """
     v = np.asarray(v, dtype=complex)
-    norm = complex_norm(v)
-    if not all(0.0 < x < math.inf for x in (norm if v.ndim > 1 else [norm])):
+    norm = np.asarray(complex_norm(v))
+    if not ((0.0 < norm) & (norm < math.inf)).all():
         raise ValueError("reflector requires a nonzero finite vector")
-    w = v.copy()
     # Each phase v1/|v1| stays on numpy's scalar path: the array abs rounds differently.
-    if v.ndim == 1:
-        v1 = v[0]
-        sigma = v1 / abs(v1) if v1 != 0 else complex(1.0)
-        w[0] = v1 + sigma * norm
-        return w, float(np.vdot(w, w).real), sigma
-    sigma, first = [], []
-    for v1, n in zip(v[:, 0], norm):
-        sigma.append(v1 / abs(v1) if v1 != 0 else complex(1.0))
-        first.append(v1 + sigma[-1] * n)
-    w[:, 0] = first
-    return w, np.vecdot(w, w).real.tolist(), sigma
+    sigma = np.array([v1 / abs(v1) if v1 != 0 else complex(1.0)
+                      for v1 in v[..., 0].ravel()]).reshape(norm.shape)
+    w = v.copy()
+    w[..., 0] += sigma * norm
+    return w, np.vecdot(w, w).real, sigma
 
 
 def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply R(v) to x without forming the matrix; R(v) v = ||v|| e1."""
+    """Apply R(v) to x without forming the matrix; R(v) v = ||v|| e1.
+
+    For (rows x N) v and x, row i of the result is R(v_i) x_i.
+    """
     w, wnorm2, sigma = _householder_parts(v)
     x = np.asarray(x, dtype=complex)
-    out = x - w * (2.0 * np.vdot(w, x) / wnorm2)
-    out[0] = -np.conj(sigma) * out[0]
+    out = x - w * (2.0 * np.vecdot(w, x) / wnorm2)[..., None]
+    # The phase fix stays scalar by scalar: numpy's array product of complex
+    # arrays fuses multiply-adds and rounds differently.
+    first = [-np.conj(s) * o for s, o in zip(sigma.ravel(), out[..., 0].ravel())]
+    out[..., 0] = np.reshape(first, sigma.shape)
     return out
 
 
@@ -142,23 +144,24 @@ def householder_reflector(v: np.ndarray) -> np.ndarray:
 def complement_project(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """B(v)^H x, where B(v) spans the orthogonal complement of v.
 
-    For a 2-D x, row i of the result is B(v)^H x_i; the rows share one set-up
-    of the reflector.
+    v and x are stacks of vectors along the last axis that broadcast against
+    each other: a vector of v serves every row of x it meets, with one set-up
+    of its reflector.
     """
     w, wnorm2, _ = _householder_parts(v)
     x = np.asarray(x, dtype=complex)
     coef = 2.0 * np.vecdot(w, x) / wnorm2
-    out = w[1:] * coef[..., None]
+    out = w[..., 1:] * coef[..., None]
     return np.subtract(x[..., 1:], out, out=out)
 
 
 def complement_embed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """B(v_i) y for every row v_i of a (rows x N) block; y has length N - 1."""
+    """B(v_i) y_i for every vector v_i of a stack v; y (length N - 1) broadcasts against v."""
     w, wnorm2, _ = _householder_parts(v)
-    rows = np.zeros_like(w)  # row i becomes R(v_i)^H (0, y); the 0 drops R(v_i)'s phase
-    rows[:, 1:] = y
+    rows = np.zeros_like(w)  # row i becomes R(v_i)^H (0, y_i); the 0 drops R(v_i)'s phase
+    rows[..., 1:] = y
     coef = 2.0 * np.vecdot(w, rows) / wnorm2
-    w *= coef[:, None]  # in place: one (rows x N) temporary fewer
+    w *= coef[..., None]  # in place: one (rows x N) temporary fewer
     rows -= w
     return rows
 

@@ -1,9 +1,10 @@
-"""The block evaluation against a member-by-member reference, bit for bit.
+"""The chunked block evaluation against a draw-by-draw, member-by-member
+reference, bit for bit.
 
-The reference below is the member-by-member evaluation that the block
-replaced: one ``scale_pair``/``evaluate`` per shaping, each with its own
-reflector set-ups and quantize call, and one scalar ``gaussian_moments`` call
-per trial and member for ``y_mid``.  It is kept verbatim (with the Householder
+The reference below is the evaluation that the block replaced: one
+``scale_pair``/``evaluate`` per draw and shaping, each with its own reflector
+set-ups and quantize call, and one scalar ``gaussian_moments`` call per trial
+and member for ``y_mid``.  It is kept verbatim (with the Householder
 helpers it called) so the comparison does not lean on the code under test.
 """
 
@@ -141,6 +142,28 @@ def _feasibility_deviation(config, quant, grid, rng, trials):
     return total / trials
 
 
+def _simulate_equivalent(config, shaping, quant, rng, trials):
+    fields = {"signal_gain": complex, "interference_gain": float, "linear_gain": complex,
+              "distortion_rms": float, "input_scale": float, "power_scale": float,
+              "transmit_power": float}
+    out = {name: np.empty(trials, dtype=dtype) for name, dtype in fields.items()}
+    out |= {name: np.empty((trials, config.k), dtype=complex) for name in ("y_hat", "s")}
+    for t in range(trials):
+        draw = md.sample_raw_draw(config, rng)
+        noise = md.sample_complex_gaussian(config.k, config.sigma2_noise, rng)
+        ev = _evaluate(draw, config, shaping, quant)
+        out["signal_gain"][t] = ev["t_s"]
+        out["interference_gain"][t] = ev["t_g"]
+        out["linear_gain"][t] = ev["c1"]
+        out["distortion_rms"][t] = ev["c2"]
+        out["input_scale"][t] = ev["alpha"]
+        out["power_scale"][t] = ev["eta"]
+        out["transmit_power"][t] = ev["eta"] ** 2 * ev["qnorm"] ** 2 / config.n
+        out["y_hat"][t] = ev["eta"] * (ev["t_s"] * draw.s + ev["t_g"] * draw.g2) + noise
+        out["s"][t] = draw.s
+    return md.EquivalentBatch(**out)
+
+
 # -- block against reference ----------------------------------------------------
 
 
@@ -168,6 +191,43 @@ def test_block_matches_member_by_member_reference(name, k):
     assert block.hex() == reference.hex()
 
 
+def _across_chunks(cfg, members):
+    """Trials that fill two chunks and part of a third."""
+    size = md._chunk_draws(cfg, members)
+    return 2 * size + size // 2 + 1
+
+
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("name", ["one_bit", "phase_ce8"])
+def test_chunk_boundaries_match_the_reference(name, k):
+    quant = QUANTS[name]
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
+    members = GRID.members()
+    coupled = [md.functional_models(cfg, f, quant) for f in members]
+    trials = _across_chunks(cfg, len(members))
+    _assert_same_samples(md.sample_coupled(cfg, quant, members, RngStream(k, 4), trials),
+                         _sample_coupled(coupled, RngStream(k, 4), trials))
+    trials = _across_chunks(cfg, 1)
+    _assert_same_samples([coupled[5].sample(RngStream(k, 5), trials)],
+                         _sample_coupled([coupled[5]], RngStream(k, 5), trials))
+    block = md.simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
+    reference = _simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
+    for f in dataclasses.fields(md.EquivalentBatch):
+        x, y = getattr(block, f.name), getattr(reference, f.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+    trials = _across_chunks(cfg, len(members))
+    block = opt.feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
+    reference = _feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
+    assert block.hex() == reference.hex()
+
+
+def test_chunk_size_bounds_the_block():
+    """At most 2**14 complex entries per (draws x members x N) array, and one draw."""
+    for k, one, grid in ((64, 64, 5), (256, 16, 1), (1024, 4, 1)):
+        cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
+        assert (md._chunk_draws(cfg, 1), md._chunk_draws(cfg, 11)) == (one, grid)
+
+
 # -- structure ------------------------------------------------------------------
 
 
@@ -184,14 +244,17 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
+    """One draw per trial, one quantize call per chunk, one moment call in all."""
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     for f in GRID.members():  # the limits are built (and cached) before counting
         md.asymptotic_model(cfg, f, qt.one_bit())
+    size = md._chunk_draws(cfg, 11)
+    trials = 2 * size + 1
     draws = _count_calls(monkeypatch, md, "sample_raw_draw")
     quantizes = _count_calls(monkeypatch, md, "quantize")
     moments = _count_calls(monkeypatch, md, "gaussian_moments")
-    md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(4, 0), 7)
-    assert (len(draws), len(quantizes), len(moments)) == (7, 7, 1)
+    md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(4, 0), trials)
+    assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 1)
 
 
 def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch):
@@ -209,8 +272,25 @@ def test_block_rows_follow_the_shapings():
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     draw = md.sample_raw_draw(cfg, RngStream(6, 0))
     members = GRID.members()
-    block = md.evaluate(draw, cfg, members, qt.phase_ce(8))
+    block = md.evaluate([draw], cfg, members, qt.phase_ce(8))
     for i in (0, 4, 10):
-        alone = md.evaluate(draw, cfg, [members[i]], qt.phase_ce(8))
-        assert [getattr(block, f)[i] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")] \
-            == [getattr(alone, f)[0] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")]
+        alone = md.evaluate([draw], cfg, [members[i]], qt.phase_ce(8))
+        assert [getattr(block, f)[0, i] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")] \
+            == [getattr(alone, f)[0, 0] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")]
+
+
+def test_degenerate_draw_inside_a_chunk_raises_at_once(monkeypatch):
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
+    good = md.sample_raw_draw(cfg, RngStream(7, 0))
+    bad = dataclasses.replace(good, s=np.zeros_like(good.s))
+    size = md._chunk_draws(cfg, 1)
+    calls = []
+
+    def draw(config, rng):
+        calls.append(1)
+        return bad if len(calls) == size + 3 else dataclasses.replace(good)
+
+    monkeypatch.setattr(md, "sample_raw_draw", draw)
+    with pytest.raises(DegenerateDrawError):
+        md.sample_coupled(cfg, qt.one_bit(), [md.rzf(0.25)], RngStream(7, 0), 3 * size)
+    assert len(calls) == size + 3

@@ -263,6 +263,9 @@ def test_cascade_rejects_bad_inputs(params):
         bnd.interference_gain_tail(0.0, 100, params)
     with pytest.raises(bnd.HypothesisError):
         bnd.received_gap_tail(0.5, 100, params, eta=0.0, s_sup=1.0)
+    for tail in (bnd.interference_gain_tail, bnd.signal_gain_tail):
+        with pytest.raises(bnd.HypothesisError):
+            tail(math.inf, 100, params)
 
 
 # -- reporting ----------------------------------------------------------------------

@@ -71,6 +71,7 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder = 2")),
     ("gamma", lambda text: text.replace("gamma = 4.0", "gamma = 0.5")),
     ("'eps'", lambda text: text.replace("trials = 120", "trials = 120\neps = 0")),
+    ("'eps'", lambda text: text.replace("trials = 120", "trials = 120\neps = inf")),
     ("[grid]", lambda text: text + "[grid]\npoints = 1\n"),
     ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder =")),
     ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = 1 1")),
@@ -84,7 +85,7 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
                                          "kind = phase_ce\nphases = 8\nradius = nan")),
     ("step", lambda text: text.replace("kind = one_bit",
                                        "kind = uniform_iq\nlevels = 4\nstep = nan")),
-], ids=["trials", "k_ladder", "gamma", "eps", "grid", "empty_k_ladder", "repeated_seed",
+], ids=["trials", "k_ladder", "gamma", "eps", "eps_inf", "grid", "empty_k_ladder", "repeated_seed",
         "gamma_inf", "power_limit_nan", "rho_nan", "rho_min_nan", "amplitude_nan",
         "radius_nan", "step_nan"])
 def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):

@@ -267,7 +267,7 @@ def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_
     good = md.sample_raw_draw(small_config, RngStream(3, 0))
     bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
     with pytest.raises(DegenerateDrawError):
-        md.evaluate(bad, small_config, [rzf_shaping], one_bit_q)
+        md.evaluate([bad], small_config, [rzf_shaping], one_bit_q)
     calls = []
     monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
     coupled = md.functional_models(small_config, rzf_shaping, one_bit_q)

@@ -24,7 +24,7 @@ def test_grid_members_and_certification():
 
 def _pair_distances(draw, cfg, members, limits):
     """Per member, the distance of the draw's scale pair (eta, alpha) from its limit."""
-    alphas, etas = md.scale_pair(draw, cfg, members, ONE_BIT)[:2]
+    (alphas,), (etas,) = md.scale_pair([draw], cfg, members, ONE_BIT)[:2]
     return [math.hypot(eta - m.power_scale, alpha - m.input_scale)
             for alpha, eta, m in zip(alphas, etas, limits)]
 
@@ -44,9 +44,9 @@ def test_sigma_asymptotic_homogeneous_in_scale():
 
 
 def test_sigma_finite_constraint_identity():
-    draw = opt.sample_raw_draw(CFG, RngStream(0, 0))
+    draw = md.sample_raw_draw(CFG, RngStream(0, 0))
     for f in (md.mf(), md.rzf(0.25)):
-        (alpha,), (eta,), *_ = md.scale_pair(draw, CFG, [f], ONE_BIT)
+        ((alpha,),), ((eta,),), *_ = md.scale_pair([draw], CFG, [f], ONE_BIT)
         assert alpha > 0 and eta > 0
         from qprec.quantizer import quantize
         qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, alpha * draw.z1)))
@@ -55,8 +55,8 @@ def test_sigma_finite_constraint_identity():
 
 def test_sigma_finite_positive_over_draws():
     for t in range(50):
-        draw = opt.sample_raw_draw(CFG, RngStream(1, t))
-        (alpha,), (eta,), *_ = md.scale_pair(draw, CFG, [md.rzf(0.25)], ONE_BIT)
+        draw = md.sample_raw_draw(CFG, RngStream(1, t))
+        ((alpha,),), ((eta,),), *_ = md.scale_pair([draw], CFG, [md.rzf(0.25)], ONE_BIT)
         assert alpha > 0 and eta > 0
 
 
@@ -67,7 +67,7 @@ def test_sigma_finite_converges_to_limit():
         limit = md.asymptotic_model(cfg, md.rzf(0.25), ONE_BIT)
         gaps = []
         for t in range(60):
-            draw = opt.sample_raw_draw(cfg, RngStream(2, 100 * k + t))
+            draw = md.sample_raw_draw(cfg, RngStream(2, 100 * k + t))
             gaps += _pair_distances(draw, cfg, [md.rzf(0.25)], [limit])
         devs.append(np.mean(gaps))
     assert devs[1] < devs[0]
@@ -156,7 +156,7 @@ def test_family_restricted_hausdorff_below_deviation():
     members = GRID.members()
     limits = [md.asymptotic_model(CFG, f, ONE_BIT) for f in members]
     for seed in range(5):
-        draw = opt.sample_raw_draw(CFG, RngStream(8, seed))
+        draw = md.sample_raw_draw(CFG, RngStream(8, seed))
         per_member = _pair_distances(draw, CFG, members, limits)
         # the feasible-slice Hausdorff surrogate is the max over members,
         # which the per-draw deviation dominates by construction
@@ -205,7 +205,7 @@ def test_solution_set_distance_bounded_by_growth(growth, asym):
         dist = opt._member_distance(fin.best, asym.best, CFG,
                                     md.asymptotic_model(CFG, fin.best, ONE_BIT),
                                     md.asymptotic_model(CFG, asym.best, ONE_BIT))
-        draw = opt.sample_raw_draw(CFG, RngStream(20, seed))
+        draw = md.sample_raw_draw(CFG, RngStream(20, seed))
         dev = max(_pair_distances(draw, CFG, members, limits))
         coupled = md.functional_models(CFG, fin.best, ONE_BIT)
         samples = coupled.sample(RngStream(21, seed), 200)

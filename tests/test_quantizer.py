@@ -248,6 +248,11 @@ def test_envelope_gap_requires_tau_in_range():
         qt.envelope(ONE_BIT, "real", 0.0)
     with pytest.raises(ValueError):
         qt.envelope(ONE_BIT, "up", 0.1)
+    for tau, alpha_bar in ((0.1, math.nan), (math.nan, 1.0), (0.1, math.inf),
+                           (math.inf, math.inf)):
+        for check in (qt.envelope_gap_expectation, qt.envelope_product_gap):
+            with pytest.raises(ValueError):
+                check(ONE_BIT, "real", tau, alpha_bar)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.01])

@@ -113,7 +113,7 @@ def test_matrix_free_applications_match_dense(seed, n, rows):
     assert np.allclose(sto.complement_embed(v[None], x[1:])[0], b @ x[1:], atol=1e-12)
     # A (rows x n) block: row i matches the dense matrices of its own vector.
     block = np.array([_random_vector(seed + 2 + i, n) for i in range(rows)])
-    assert sto.complex_norm(block) == [sto.complex_norm(row) for row in block]
+    assert sto.complex_norm(block).tolist() == [sto.complex_norm(row) for row in block]
     embedded = sto.complement_embed(block, x[1:])
     projected = sto.complement_project(v, block)
     for i, row in enumerate(block):
