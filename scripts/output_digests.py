@@ -15,9 +15,10 @@ The default grid is {one_bit, phase_ce(8), uniform_iq(4, 0.5)} x K in
 its time at K = 1024.  Its 12 trials fit in one chunk of draws at K = 16
 and 64, so a second run crosses the chunk boundaries of every sampler there:
 
-    PYTHONPATH=src python3 scripts/output_digests.py --k 16 64 --trials 150  The three tail cascades are hashed per quantizer and
-K (of the system their constants come from) at eps 0.5, evaluated at
-K = 10^3 and 10^6.
+    PYTHONPATH=src python3 scripts/output_digests.py --k 16 64 --trials 150
+
+The three tail cascades are hashed per quantizer and K (of the system their
+constants come from) at eps 0.5, evaluated at K = 10^3 and 10^6.
 """
 
 import argparse

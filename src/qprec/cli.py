@@ -147,8 +147,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad numeric field: {exc}") from exc
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("field 'seeds' must list at least one seed, each once")
-    if trials < 1:
-        raise ConfigError("field 'trials' must be at least 1")
+    # The suites that estimate an SINR from samples need two trials per cell.
+    min_trials = 2 if name in ("converge-sinr", "bounds-audit", "optimize") else 1
+    if trials < min_trials:
+        raise ConfigError(f"field 'trials' must be at least {min_trials} for '{name}'")
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError("field 'eps' must be finite and positive")
     if not k_ladder or list(k_ladder) != sorted(set(k_ladder)):

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .quantizer import GaussianMoments, QuantizerSpec, gaussian_moments, quantize
+from .quantizer import GaussianMoments, QuantizerSpec, _squared, gaussian_moments, quantize
 from .spectral import MpLaw, mp_moment, sample_channel, sample_singular_values
 from .stochastic import (
     DegenerateDrawError,
@@ -288,7 +288,12 @@ class EquivalentBatch:
 
 @dataclass(frozen=True)
 class RawDraw:
-    """The randomness of one equivalent-model trial, before shaping and quantizing."""
+    """The randomness of equivalent-model trials, before shaping and quantizing.
+
+    Each field holds one trial's vector, or one row per trial in a block.
+    ``norms`` = (||s||, ||g1||, ||z1||): floats, or per-row arrays for a block;
+    building a draw where one of them vanishes raises DegenerateDrawError.
+    """
 
     d: np.ndarray    # K singular values
     g1: np.ndarray   # K, direction of U^H s
@@ -296,17 +301,14 @@ class RawDraw:
     z1: np.ndarray   # N, quantizer input direction
     z2: np.ndarray   # N, distortion direction
     s: np.ndarray    # K data symbols
+    norms: tuple = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def norms(self) -> tuple[float, float, float]:
-        """(||s||, ||g1||, ||z1||), shared by every evaluation of this draw.
-
-        Raises DegenerateDrawError when one of them vanishes.
-        """
+    def __post_init__(self) -> None:
         norms = tuple(complex_norm(v) for v in (self.s, self.g1, self.z1))
-        if min(norms) <= 0:
+        # Python's min for one trial: numpy calls on its three floats take a tenth of a K = 8 trial.
+        if (min(norms) if self.s.ndim == 1 else min(x.min() for x in norms)) <= 0:
             raise DegenerateDrawError("degenerate draw in the equivalent model")
-        return norms
+        object.__setattr__(self, "norms", norms)
 
 
 def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
@@ -333,43 +335,32 @@ def draw_chunks(config: SystemConfig, rng: RngStream, trials: int, members: int,
                 users: int = 0):
     """The trials' raw draws, in chunks of ``_chunk_draws(config, members)``.
 
-    Yields (the chunk's slice of the trials, its draws, their noise).  Each
-    draw is followed by the noise of its first ``users`` users (none for 0), so
-    the stream is read in the order of one trial at a time.  A draw with a
-    vanishing norm raises DegenerateDrawError as soon as it is drawn; nothing
-    is redrawn.
+    Yields (the chunk's slice of the trials, its draws as one RawDraw block,
+    their (rows x users) noise).  Each draw is followed by the noise of its
+    first ``users`` users (none for 0), so the stream is read in the order of
+    one trial at a time; a degenerate draw raises as soon as it is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = _chunk_draws(config, members)
     for start in range(0, trials, size):
-        trial_slice = slice(start, min(start + size, trials))
-        draws, noise = [], []
-        for _ in range(trial_slice.stop - start):
-            draw = sample_raw_draw(config, rng)
-            draw.norms  # computed now, so a degenerate draw raises at once
-            draws.append(draw)
+        rows = slice(start, min(start + size, trials))
+        draws, noise = [], np.empty((rows.stop - start, users), dtype=complex)
+        for i in range(len(noise)):
+            draws.append(sample_raw_draw(config, rng))
             if users:
-                noise.append(sample_complex_gaussian(users, config.sigma2_noise, rng))
-        yield trial_slice, draws, noise
+                noise[i] = sample_complex_gaussian(users, config.sigma2_noise, rng)
+        block = RawDraw(**{name: np.array([getattr(draw, name) for draw in draws])
+                           for name in ("d", "g1", "g2", "z1", "z2", "s")})
+        yield rows, block, noise
 
 
-def _stack(draws: Sequence[RawDraw], names: str) -> list[np.ndarray]:
-    """Each named field of every draw as a (draws x length) array."""
-    return [np.array([getattr(draw, name) for draw in draws]) for name in names.split()]
-
-
-def _norms(draws: Sequence[RawDraw]) -> np.ndarray:
-    """(||s||, ||g1||, ||z1||) of every draw, each as a (draws x 1) column."""
-    return np.array([draw.norms for draw in draws]).T[..., None]
-
-
-def scale_pair(draws: Sequence[RawDraw], config: SystemConfig,
+def scale_pair(block: RawDraw, config: SystemConfig,
                shapings: Sequence[ShapingFunction], quant: QuantizerSpec
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First stage of a block evaluation: (alpha, eta, ||q||, q(alpha z1), shat).
 
-    Entry [i, j] of each array belongs to ``draws[i]`` under ``shapings[j]``:
+    Entry [i, j] of each array belongs to row i of ``block`` under ``shapings[j]``:
     alpha, eta and ||q|| are (draws x members), q and shat (draws x members x N).
     shat is the shaped precoder input embedded in C^N (zero past column K), so
     alpha = ||shat|| / ||z1||, and eta enforces the power budget on each draw.
@@ -377,16 +368,15 @@ def scale_pair(draws: Sequence[RawDraw], config: SystemConfig,
     vanishes for any draw and member.
     """
     n, k = config.n, config.k
-    s_norm, g1_norm, z1_norm = _norms(draws)
-    d, g1, z1 = _stack(draws, "d g1 z1")
-    shat = np.zeros((len(draws), len(shapings), n), dtype=complex)
+    s_norm, g1_norm, z1_norm = (x[:, None] for x in block.norms)
+    shat = np.zeros((len(block.d), len(shapings), n), dtype=complex)
     for j, f in enumerate(shapings):
-        np.multiply((s_norm / g1_norm) * np.asarray(f(d)), g1, out=shat[:, j, :k])
+        np.multiply((s_norm / g1_norm) * np.asarray(f(block.d)), block.g1, out=shat[:, j, :k])
     shat_norm = complex_norm(shat)
     alpha = shat_norm / z1_norm
     if not (shat_norm > 0).all() or not np.isfinite(alpha).all():
         raise DegenerateDrawError("degenerate draw in the equivalent model")
-    qz = quantize(quant, alpha[..., None] * z1[:, None])
+    qz = quantize(quant, alpha[..., None] * block.z1[:, None])
     qz_norm = complex_norm(qz)
     if not (qz_norm > 0).all():
         raise DegenerateDrawError("degenerate quantized draw")
@@ -406,9 +396,9 @@ class Evaluation:
     t_g: np.ndarray      # interference gain
 
 
-def evaluate(draws: Sequence[RawDraw], config: SystemConfig,
+def evaluate(block: RawDraw, config: SystemConfig,
              shapings: Sequence[ShapingFunction], quant: QuantizerSpec) -> Evaluation:
-    """Equivalent-model gains of each draw under every shaping of a block.
+    """Equivalent-model gains of each row of a block under every shaping.
 
     The shapings share ``quant``.  The vector work runs once over the
     (draws x members) block: one quantize call, one reflector set-up per draw
@@ -416,21 +406,18 @@ def evaluate(draws: Sequence[RawDraw], config: SystemConfig,
     follows the arithmetic of one draw and one shaping alone, so it equals that
     evaluation bit for bit.  Raises DegenerateDrawError on degeneracy.
     """
-    alpha, eta, qnorm, qz, shat = scale_pair(draws, config, shapings, quant)
-    d, g1, z1, z2, s, g2 = _stack(draws, "d g1 z1 z2 s g2")
+    alpha, eta, qnorm, qz, shat = scale_pair(block, config, shapings, quant)
     # A (draws x 1 x length) stack broadcasts a draw's vector over the members.
-    d, g1, z1, z2_tail, k = d[:, None], g1[:, None], z1[:, None], z2[:, 1:], config.k
-    s_norm, g1_norm, z1_norm = _norms(draws)
-    # Python's float power (libm pow): numpy's x * x rounds differently in rare cases.
-    z1_sq = np.array([x ** 2 for x in z1_norm.ravel().tolist()])[:, None]
-    c1 = np.vecdot(z1, qz) / (alpha * z1_sq)
+    d, g1, z1, z2_tail = block.d[:, None], block.g1[:, None], block.z1[:, None], block.z2[:, 1:]
+    s_norm, g1_norm, z1_norm = (x[:, None] for x in block.norms)
+    c1 = np.vecdot(z1, qz) / (alpha * _squared(z1_norm))
     c2 = complex_norm(complement_project(z1, qz)) / complex_norm(z2_tail)[:, None]
     del qz  # freed before the next (draws x members x N) arrays, to bound peak memory
     # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K entries.
-    mixed = complement_embed(shat, z2_tail[:, None])[..., :k]
-    w = c1[..., None] * d * shat[..., :k] + c2[..., None] * d * mixed
+    mixed = complement_embed(shat, z2_tail[:, None])[..., :config.k]
+    w = c1[..., None] * d * shat[..., :config.k] + c2[..., None] * d * mixed
     # R(s) g2 = (s^H g2 / ||s||, B(s)^H g2): the split of g2 along s and its complement.
-    g2_rot = reflect(s, g2)
+    g2_rot = reflect(block.s, block.g2)
     denom = complex_norm(g2_rot[:, 1:])
     if not (denom > 0).all():
         raise DegenerateDrawError("degenerate rotated interference draw")
@@ -439,35 +426,36 @@ def evaluate(draws: Sequence[RawDraw], config: SystemConfig,
     return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1, c2=c2, t_s=t_s, t_g=t_g)
 
 
+def _collect(config: SystemConfig, quant: QuantizerSpec, shapings: Sequence[ShapingFunction],
+             rng: RngStream, trials: int, users: int
+             ) -> tuple[Evaluation, np.ndarray, np.ndarray, np.ndarray]:
+    """Every trial evaluated under every shaping, one chunk of draws at a time.
+
+    Returns the Evaluation with (members x trials) fields, row i belonging to
+    ``shapings[i]``, and the s, g2 and noise of each trial's first ``users``
+    users as (trials x users) arrays.
+    """
+    fields, (s, g2, noise) = {}, (np.empty((trials, users), dtype=complex) for _ in range(3))
+    for rows, block, block_noise in draw_chunks(config, rng, trials, len(shapings), users):
+        for name, x in vars(evaluate(block, config, shapings, quant)).items():
+            if name not in fields:
+                fields[name] = np.empty((len(shapings), trials), dtype=x.dtype)
+            fields[name][:, rows] = x.T
+        s[rows], g2[rows], noise[rows] = block.s[:, :users], block.g2[:, :users], block_noise
+    return Evaluation(**fields), s, g2, noise
+
+
 def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
                         quant: QuantizerSpec, rng: RngStream,
                         trials: int) -> EquivalentBatch:
     """Sample the statistically equivalent model (full received vectors)."""
-    k = config.k
-    out = dict(signal_gain=np.empty(trials, dtype=complex),
-               interference_gain=np.empty(trials),
-               linear_gain=np.empty(trials, dtype=complex),
-               distortion_rms=np.empty(trials),
-               input_scale=np.empty(trials),
-               power_scale=np.empty(trials),
-               transmit_power=np.empty(trials),
-               y_hat=np.empty((trials, k), dtype=complex),
-               s=np.empty((trials, k), dtype=complex))
-    for rows, draws, noise in draw_chunks(config, rng, trials, 1, users=k):
-        ev = evaluate(draws, config, [shaping], quant)
-        alpha, eta, qnorm, c1, c2, t_s, t_g = (x[:, 0] for x in vars(ev).values())
-        s, g2 = _stack(draws, "s g2")
-        out["signal_gain"][rows] = t_s
-        out["interference_gain"][rows] = t_g
-        out["linear_gain"][rows] = c1
-        out["distortion_rms"][rows] = c2
-        out["input_scale"][rows] = alpha
-        out["power_scale"][rows] = eta
-        out["transmit_power"][rows] = [e ** 2 * q ** 2 / config.n
-                                       for e, q in zip(eta.tolist(), qnorm.tolist())]
-        out["y_hat"][rows] = eta[:, None] * (t_s[:, None] * s + t_g[:, None] * g2) + noise
-        out["s"][rows] = s
-    return EquivalentBatch(**out)
+    ev, s, g2, noise = _collect(config, quant, [shaping], rng, trials, users=config.k)
+    alpha, eta, qnorm, c1, c2, t_s, t_g = (x[0] for x in vars(ev).values())
+    return EquivalentBatch(
+        signal_gain=t_s, interference_gain=t_g, linear_gain=c1, distortion_rms=c2,
+        input_scale=alpha, power_scale=eta,
+        transmit_power=_squared(eta) * _squared(qnorm) / config.n,
+        y_hat=eta[:, None] * (t_s[:, None] * s + t_g[:, None] * g2) + noise, s=s)
 
 
 def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStream,
@@ -540,17 +528,9 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
     if not shapings:
         raise ValueError("need at least one shaping")
     scalars = [asymptotic_model(config, f, quant) for f in shapings]
-    # Row i of each (members x trials) array belongs to shapings[i].
-    user = np.empty((3, trials), dtype=complex)  # s, g2 and noise of user 0
-    alpha, eta, t_g = (np.empty((len(shapings), trials)) for _ in range(3))
-    t_s = np.empty((len(shapings), trials), dtype=complex)
-    for cols, draws, noise in draw_chunks(config, rng, trials, len(shapings), users=1):
-        ev = evaluate(draws, config, shapings, quant)
-        user[:, cols] = [[draw.s[0] for draw in draws], [draw.g2[0] for draw in draws],
-                         [n[0] for n in noise]]
-        alpha[:, cols], eta[:, cols], t_s[:, cols], t_g[:, cols] = \
-            ev.alpha.T, ev.eta.T, ev.t_s.T, ev.t_g.T
-    s, g2, noise = user
+    ev, *user = _collect(config, quant, shapings, rng, trials, users=1)
+    s, g2, noise = (x[:, 0] for x in user)
+    alpha, eta, t_s, t_g = ev.alpha, ev.eta, ev.t_s, ev.t_g
     # Scalar by scalar: numpy's array product of complex arrays fuses
     # multiply-adds and rounds differently.
     y_hat = np.array([[e * (ts * s_k + tg * g2_k) + n_k

@@ -151,8 +151,8 @@ def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
     members = grid.members()
     limits = [asymptotic_model(config, f, quant) for f in members]
     total = 0.0
-    for _, draws, _ in draw_chunks(config, rng, trials, len(members)):
-        alphas, etas = scale_pair(draws, config, members, quant)[:2]
+    for _, block, _ in draw_chunks(config, rng, trials, len(members)):
+        alphas, etas = scale_pair(block, config, members, quant)[:2]
         for alpha_row, eta_row in zip(alphas.tolist(), etas.tolist()):
             total += max(math.hypot(eta - m.power_scale, alpha - m.input_scale)
                          for alpha, eta, m in zip(alpha_row, eta_row, limits))

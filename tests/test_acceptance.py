@@ -8,6 +8,7 @@ variance 0.1 and unit power budget, matching the convergence/bound setup the
 criteria specify.
 """
 
+import dataclasses
 import math
 import time
 
@@ -63,9 +64,15 @@ def _report(criterion: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {criterion}: {label}{suffix}"
 
 
+def _prefix(samples: md.CoupledSamples, trials: int) -> md.CoupledSamples:
+    """The first ``trials`` trials, bitwise the samples of a draw of that many."""
+    return md.CoupledSamples(**{f.name: getattr(samples, f.name)[:trials]
+                                for f in dataclasses.fields(samples)})
+
+
 @pytest.fixture(scope="module")
 def ten_seed_k256():
-    """Coupled per-user samples at K=256 for ten seeds (criteria 6 and 7)."""
+    """Coupled per-user samples at K=256 for ten seeds (criteria 3, 5, 6 and 7)."""
     cfg = _config(256)
     coupled = md.functional_models(cfg, RZF, ONE_BIT)
     samples = {seed: coupled.sample(RngStream(seed, 256), 2500)
@@ -96,24 +103,35 @@ def test_criterion_02_statistical_equivalence():
 
 
 @pytest.fixture(scope="module")
-def sinr_ladder():
-    gaps = {}
+def sinr_ladder(ten_seed_k256):
+    """SINR gaps of seeds 1-3 at 2000 trials, and the samples behind them.
+
+    At K = 256 the samples are the first 2000 trials of ``ten_seed_k256``'s,
+    which come from the same streams.
+    """
+    _, _, k256_samples = ten_seed_k256
+    gaps, samples = {}, {}
     for k in (16, 64, 256):
         cfg = _config(k)
         coupled = md.functional_models(cfg, RZF, ONE_BIT)
         limit = met.sinr_bar(cfg, RZF, ONE_BIT, model=coupled.scalar)
         per_seed = []
         for seed in (1, 2, 3):
-            s = coupled.sample(RngStream(seed, k), 2000)
+            if k == 256:
+                s = _prefix(k256_samples[seed], 2000)
+            else:
+                s = coupled.sample(RngStream(seed, k), 2000)
+            samples[seed, k] = s
             est = met.sinr_hat_coupled(s, coupled.scalar, cfg)
             per_seed.append(abs(est.value - limit))
         gaps[k] = (float(np.mean(per_seed)), limit)
-    return gaps
+    return gaps, samples
 
 
 def test_criterion_03_sinr_convergence(sinr_ladder):
-    means = [sinr_ladder[k][0] for k in (16, 64, 256)]
-    rel = sinr_ladder[256][0] / sinr_ladder[256][1]
+    gaps, _ = sinr_ladder
+    means = [gaps[k][0] for k in (16, 64, 256)]
+    rel = gaps[256][0] / gaps[256][1]
     decreasing = all(a > b for a, b in zip(means, means[1:]))
     _report(3, "SINR gap strictly decreasing and < 5% relative at K=256",
             decreasing and rel < 0.05,
@@ -136,13 +154,17 @@ def test_criterion_04_sep_convergence():
             f"gap {gaps[16]:.5f} (K=16) -> {gaps[256]:.5f} (K=256)")
 
 
-def test_criterion_05_ky_fan_rate():
+def test_criterion_05_ky_fan_rate(sinr_ladder):
+    """Seed 3 at 500 trials; at K = 64 and 256, the first trials of criterion 3's."""
     ks = (64, 256, 1024)
     dists = []
     for k in ks:
         cfg = _config(k)
         coupled = md.functional_models(cfg, RZF, ONE_BIT)
-        s = coupled.sample(RngStream(3, k), 500)
+        if k in (64, 256):
+            s = _prefix(sinr_ladder[1][3, k], 500)
+        else:
+            s = coupled.sample(RngStream(3, k), 500)
         dists.append(met.ky_fan_distance(
             s.signal_gain, np.full(len(s.s), coupled.scalar.signal_gain)))
     slope = float(np.polyfit(np.log(ks), np.log(dists), 1)[0])

@@ -257,12 +257,22 @@ def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
     assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 1)
 
 
+def _one_row_block(draw):
+    """A block of one trial: each field of ``draw`` as a (1 x length) array."""
+    return md.RawDraw(**{f.name: getattr(draw, f.name)[None]
+                         for f in dataclasses.fields(draw) if f.init})
+
+
 def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     good = md.sample_raw_draw(cfg, RngStream(5, 0))
-    bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
     calls = []
-    monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
+
+    def draw(config, rng):
+        calls.append(1)
+        return dataclasses.replace(good, g1=np.zeros_like(good.g1))
+
+    monkeypatch.setattr(md, "sample_raw_draw", draw)
     with pytest.raises(DegenerateDrawError):
         md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(5, 0), 5)
     assert len(calls) == 1
@@ -270,11 +280,11 @@ def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch):
 
 def test_block_rows_follow_the_shapings():
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
-    draw = md.sample_raw_draw(cfg, RngStream(6, 0))
+    draw = _one_row_block(md.sample_raw_draw(cfg, RngStream(6, 0)))
     members = GRID.members()
-    block = md.evaluate([draw], cfg, members, qt.phase_ce(8))
+    block = md.evaluate(draw, cfg, members, qt.phase_ce(8))
     for i in (0, 4, 10):
-        alone = md.evaluate([draw], cfg, [members[i]], qt.phase_ce(8))
+        alone = md.evaluate(draw, cfg, [members[i]], qt.phase_ce(8))
         assert [getattr(block, f)[0, i] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")] \
             == [getattr(alone, f)[0, 0] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")]
 
@@ -282,15 +292,28 @@ def test_block_rows_follow_the_shapings():
 def test_degenerate_draw_inside_a_chunk_raises_at_once(monkeypatch):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     good = md.sample_raw_draw(cfg, RngStream(7, 0))
-    bad = dataclasses.replace(good, s=np.zeros_like(good.s))
     size = md._chunk_draws(cfg, 1)
     calls = []
 
     def draw(config, rng):
         calls.append(1)
-        return bad if len(calls) == size + 3 else dataclasses.replace(good)
+        if len(calls) == size + 3:
+            return dataclasses.replace(good, s=np.zeros_like(good.s))
+        return dataclasses.replace(good)
 
     monkeypatch.setattr(md, "sample_raw_draw", draw)
     with pytest.raises(DegenerateDrawError):
         md.sample_coupled(cfg, qt.one_bit(), [md.rzf(0.25)], RngStream(7, 0), 3 * size)
     assert len(calls) == size + 3
+
+
+@pytest.mark.parametrize("k, short", [(16, 200), (64, 50)])
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one(k, short):
+    """What lets the acceptance battery slice one draw instead of drawing again;
+    at K = 64 the long draw spans four chunks and the short one part of one."""
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
+    coupled = md.functional_models(cfg, md.rzf(0.25), qt.one_bit())
+    long, alone = (coupled.sample(RngStream(k, 8), trials) for trials in (250, short))
+    for f in dataclasses.fields(md.CoupledSamples):
+        x, y = getattr(long, f.name)[:short], getattr(alone, f.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name

@@ -95,6 +95,14 @@ def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["converge-sinr", "bounds-audit", "optimize"])
+def test_one_trial_is_config_error_where_sinr_is_estimated(tmp_path, capsys, suite):
+    path = _write_config(tmp_path, suite, k_ladder="8 16", seeds="1", trials=1)
+    assert cli.main(["run", str(path)]) == 2
+    assert "'trials'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_kyfan_rate_needs_two_ladder_entries(tmp_path, capsys):
     path = _write_config(tmp_path, "kyfan-rate", k_ladder="16", seeds="1", trials=20)
     assert cli.main(["run", str(path)]) == 2

@@ -265,15 +265,33 @@ def test_shared_draw_sampler_matches_each_model_alone(quant):
 def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_config,
                                                  monkeypatch):
     good = md.sample_raw_draw(small_config, RngStream(3, 0))
-    bad = dataclasses.replace(good, g1=np.zeros_like(good.g1))
-    with pytest.raises(DegenerateDrawError):
-        md.evaluate([bad], small_config, [rzf_shaping], one_bit_q)
     calls = []
-    monkeypatch.setattr(md, "sample_raw_draw", lambda config, rng: calls.append(1) or bad)
+
+    def draw(config, rng):
+        calls.append(1)
+        return dataclasses.replace(good, g1=np.zeros_like(good.g1))
+
+    monkeypatch.setattr(md, "sample_raw_draw", draw)
     coupled = md.functional_models(small_config, rzf_shaping, one_bit_q)
     with pytest.raises(DegenerateDrawError):
         coupled.sample(RngStream(3, 0), 5)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["s", "g1", "z1"])
+def test_raw_draw_with_a_vanishing_norm_raises_when_built(small_config, name):
+    one = md.sample_raw_draw(small_config, RngStream(4, 0))
+    other = md.sample_raw_draw(small_config, RngStream(4, 1))
+    vectors = {f.name: getattr(one, f.name) for f in dataclasses.fields(one) if f.init}
+    with pytest.raises(DegenerateDrawError):
+        md.RawDraw(**vectors | {name: np.zeros_like(vectors[name])})
+    block = {key: np.array([v, getattr(other, key)]) for key, v in vectors.items()}
+    # Per-row norms of a block, each equal to that trial's own norm.
+    assert [x.tolist() for x in md.RawDraw(**block).norms] == \
+        [list(pair) for pair in zip(one.norms, other.norms)]
+    block[name][1] = 0
+    with pytest.raises(DegenerateDrawError):
+        md.RawDraw(**block)
 
 
 def test_coupled_sampler_rejects_an_empty_list(small_config, one_bit_q):

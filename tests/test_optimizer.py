@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,9 +23,15 @@ def test_grid_members_and_certification():
         opt.FamilyGrid(rho_min=1.0, rho_max=0.5)
 
 
+def _one_row_block(draw):
+    """A block of one trial: each field of ``draw`` as a (1 x length) array."""
+    return md.RawDraw(**{f.name: getattr(draw, f.name)[None]
+                         for f in dataclasses.fields(draw) if f.init})
+
+
 def _pair_distances(draw, cfg, members, limits):
     """Per member, the distance of the draw's scale pair (eta, alpha) from its limit."""
-    (alphas,), (etas,) = md.scale_pair([draw], cfg, members, ONE_BIT)[:2]
+    (alphas,), (etas,) = md.scale_pair(_one_row_block(draw), cfg, members, ONE_BIT)[:2]
     return [math.hypot(eta - m.power_scale, alpha - m.input_scale)
             for alpha, eta, m in zip(alphas, etas, limits)]
 
@@ -46,7 +53,7 @@ def test_sigma_asymptotic_homogeneous_in_scale():
 def test_sigma_finite_constraint_identity():
     draw = md.sample_raw_draw(CFG, RngStream(0, 0))
     for f in (md.mf(), md.rzf(0.25)):
-        ((alpha,),), ((eta,),), *_ = md.scale_pair([draw], CFG, [f], ONE_BIT)
+        ((alpha,),), ((eta,),), *_ = md.scale_pair(_one_row_block(draw), CFG, [f], ONE_BIT)
         assert alpha > 0 and eta > 0
         from qprec.quantizer import quantize
         qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, alpha * draw.z1)))
@@ -56,7 +63,8 @@ def test_sigma_finite_constraint_identity():
 def test_sigma_finite_positive_over_draws():
     for t in range(50):
         draw = md.sample_raw_draw(CFG, RngStream(1, t))
-        ((alpha,),), ((eta,),), *_ = md.scale_pair([draw], CFG, [md.rzf(0.25)], ONE_BIT)
+        ((alpha,),), ((eta,),), *_ = md.scale_pair(_one_row_block(draw), CFG,
+                                                   [md.rzf(0.25)], ONE_BIT)
         assert alpha > 0 and eta > 0
 
 
