@@ -147,8 +147,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"bad numeric field: {exc}") from exc
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError("field 'seeds' must list at least one seed, each once")
-    # The suites that estimate an SINR from samples need two trials per cell.
-    min_trials = 2 if name in ("converge-sinr", "bounds-audit", "optimize") else 1
+    # The suites that estimate from samples (an SINR, a SEP gap, a KS distance)
+    # need two trials per cell.
+    min_trials = 2 if name in ("converge-sinr", "converge-sep", "bounds-audit", "optimize",
+                               "equivalence") else 1
     if trials < min_trials:
         raise ConfigError(f"field 'trials' must be at least {min_trials} for '{name}'")
     if not (math.isfinite(eps) and eps > 0):

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .quantizer import GaussianMoments, QuantizerSpec, _squared, gaussian_moments, quantize
-from .spectral import MpLaw, mp_moment, sample_channel, sample_singular_values
+from .spectral import MpLaw, mp_moment, sample_singular_values
 from .stochastic import (
     DegenerateDrawError,
     RngStream,
@@ -246,31 +246,42 @@ class OriginalBatch:
 
 def simulate_original(config: SystemConfig, shaping: ShapingFunction,
                       quant: QuantizerSpec, rng: RngStream, trials: int) -> OriginalBatch:
-    """Sample the original model; eta enforces the power budget per draw."""
+    """Sample the original model; eta enforces the power budget per draw.
+
+    Each trial draws its channel H, then s, then the noise, one trial at a
+    time; a chunk of ``_chunk_draws(config, K)`` trials is then evaluated as
+    one stack: one SVD call, and matrix products whose entries equal those of
+    one trial alone bit for bit.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = config.n, config.k
     y = np.empty((trials, k), dtype=complex)
-    s_out = np.empty((trials, k), dtype=complex)
+    s = np.empty((trials, k), dtype=complex)
     etas = np.empty(trials)
     power = np.empty(trials)
-    for t in range(trials):
-        ch = sample_channel(config, rng)
-        s = sample_constellation(config.points, k, rng)
-        noise = sample_complex_gaussian(k, config.sigma2_noise, rng)
+    size = _chunk_draws(config, k)
+    for start in range(0, trials, size):
+        rows = slice(start, min(start + size, trials))
+        h = np.empty((rows.stop - start, k * n), dtype=complex)
+        noise = np.empty((len(h), k), dtype=complex)
+        for i in range(len(h)):
+            h[i] = sample_complex_gaussian(k * n, 1.0 / n, rng)
+            s[start + i] = sample_constellation(config.points, k, rng)
+            noise[i] = sample_complex_gaussian(k, config.sigma2_noise, rng)
+        h = h.reshape(-1, k, n)
+        u, d, vh = np.linalg.svd(h, full_matrices=False)
         # P s = V f(D)^T U^H s, using only the thin factors.
-        shaped = shaping(ch.d) * (ch.u.conj().T @ s)
-        ps = ch.vh.conj().T @ shaped
-        qx = np.asarray(quantize(quant, ps))
-        qnorm = float(np.linalg.norm(qx))
-        if qnorm <= 0:
+        shaped = shaping(d)[..., None] * (u.conj().swapaxes(1, 2) @ s[rows, :, None])
+        qx = quantize(quant, vh.conj().swapaxes(1, 2) @ shaped)
+        qnorm = complex_norm(qx[..., 0])
+        if (qnorm <= 0).any():
             raise DegenerateDrawError("quantized transmit vector is identically zero")
         eta = np.sqrt(config.power_limit * n) / qnorm
-        y[t] = eta * (ch.h @ qx) + noise
-        s_out[t] = s
-        etas[t] = eta
-        power[t] = eta**2 * qnorm**2 / n
-    return OriginalBatch(y=y, s=s_out, eta=etas, transmit_power=power)
+        y[rows] = eta[:, None] * (h @ qx)[..., 0] + noise
+        etas[rows] = eta
+        power[rows] = _squared(eta) * _squared(qnorm) / n
+    return OriginalBatch(y=y, s=s, eta=etas, transmit_power=power)
 
 
 @dataclass(frozen=True)
@@ -312,12 +323,12 @@ class RawDraw:
 
 
 def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
+    """One trial's draw: d, then (g1, g2) in one call and (z1, z2) in one call, then s."""
     n, k = config.n, config.k
-    return RawDraw(d=sample_singular_values(n, k, rng),
-                   g1=sample_complex_gaussian(k, 1.0, rng),
-                   g2=sample_complex_gaussian(k, 1.0, rng),
-                   z1=sample_complex_gaussian(n, 1.0, rng),
-                   z2=sample_complex_gaussian(n, 1.0, rng),
+    d = sample_singular_values(n, k, rng)
+    g1, g2 = sample_complex_gaussian((2, k), 1.0, rng)
+    z1, z2 = sample_complex_gaussian((2, n), 1.0, rng)
+    return RawDraw(d=d, g1=g1, g2=g2, z1=z1, z2=z2,
                    s=sample_constellation(config.points, k, rng))
 
 

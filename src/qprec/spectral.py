@@ -14,6 +14,7 @@ singularities, leaving a smooth integrand for adaptive quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, TYPE_CHECKING
 
 import numpy as np
@@ -137,6 +138,14 @@ def sample_channel(config: "SystemConfig", rng: RngStream) -> ChannelDraw:
     return ChannelDraw(h=h, u=u, d=d, vh=vh)
 
 
+@lru_cache(maxsize=64)
+def _chi_dofs(n: int, k: int) -> np.ndarray:
+    """Degrees of freedom of the bidiagonal's diagonal, then its subdiagonal (read-only)."""
+    dofs = np.concatenate((2.0 * (n - np.arange(k)), 2.0 * (k - 1 - np.arange(k - 1))))
+    dofs.setflags(write=False)
+    return dofs
+
+
 def sample_singular_values(n: int, k: int, rng: RngStream) -> np.ndarray:
     """Singular values of a K x N i.i.d. CN(0, 1/N) matrix, descending.
 
@@ -147,11 +156,11 @@ def sample_singular_values(n: int, k: int, rng: RngStream) -> np.ndarray:
     """
     if k > n or k < 1:
         raise ValueError("requires N >= K >= 1")
-    g = rng.generator
     # chi entries scaled by 1/sqrt(2): B B^T then matches the complex Wishart
     # with unit per-entry second moment (Gamma(N,1) marginal at K = 1).
-    diag = np.sqrt(g.chisquare(2.0 * (n - np.arange(k))) / 2.0)
-    sub = np.sqrt(g.chisquare(2.0 * (k - 1 - np.arange(k - 1))) / 2.0) if k > 1 else np.zeros(0)
+    # One chisquare call reads the diagonal's K and then the subdiagonal's K - 1.
+    chi = np.sqrt(rng.generator.chisquare(_chi_dofs(n, k)) / 2.0)
+    diag, sub = chi[:k], chi[k:]
     main = diag**2
     if k > 1:
         main[1:] += sub**2

@@ -45,21 +45,26 @@ class RngStream:
         self.generator = np.random.Generator(np.random.Philox(ss))
 
 
-def sample_complex_gaussian(n: int, variance: float, rng: RngStream) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian entries.
+def sample_complex_gaussian(n: int | tuple[int, ...], variance: float,
+                            rng: RngStream) -> np.ndarray:
+    """i.i.d. circularly-symmetric complex Gaussian entries, n of them or of shape n.
 
     Each entry has independent real/imaginary parts of variance
     ``variance / 2``, so the per-entry second moment is ``variance``.
+    One generator call reads, row by row along the last axis, the row's real
+    parts and then its imaginary parts: a (2, k) request equals two k
+    requests bit for bit.  Variance 0 gives zeros and reads nothing.
     """
-    if n < 1:
+    shape = n if isinstance(n, tuple) else (n,)
+    if not shape or min(shape) < 1:
         raise ValueError("n must be >= 1")
     if not math.isfinite(variance) or variance < 0:
         raise ValueError("variance must be finite and nonnegative")
     if variance == 0.0:
-        return np.zeros(n, dtype=complex)
+        return np.zeros(shape, dtype=complex)
     scale = np.sqrt(variance / 2.0)
-    g = rng.generator
-    return scale * (g.standard_normal(n) + 1j * g.standard_normal(n))
+    x = rng.generator.standard_normal(shape[:-1] + (2, shape[-1]))
+    return scale * (x[..., 0, :] + 1j * x[..., 1, :])
 
 
 def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarray:

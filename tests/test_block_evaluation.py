@@ -1,11 +1,13 @@
 """The chunked block evaluation against a draw-by-draw, member-by-member
 reference, bit for bit.
 
-The reference below is the evaluation that the block replaced: one
+The references below are the code that the blocks replaced: one
 ``scale_pair``/``evaluate`` per draw and shaping, each with its own reflector
 set-ups and quantize call, and one scalar ``gaussian_moments`` call per trial
-and member for ``y_mid``.  It is kept verbatim (with the Householder
-helpers it called) so the comparison does not lean on the code under test.
+and member for ``y_mid``; one SVD per trial of the original model; one
+generator call per field of a raw draw.  They are kept as they were, with
+their draws written out call by call and the Householder helpers they called,
+so the comparison does not lean on the code under test.
 """
 
 import dataclasses
@@ -13,15 +15,72 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from qprec import models as md
 from qprec import optimizer as opt
 from qprec import quantizer as qt
-from qprec.stochastic import DegenerateDrawError, RngStream
+from qprec.spectral import sample_singular_values
+from qprec.stochastic import (DegenerateDrawError, RngStream, sample_complex_gaussian,
+                              sample_constellation)
 
 GRID = opt.FamilyGrid(points=9)
 QUANTS = {"one_bit": qt.one_bit(), "phase_ce8": qt.phase_ce(8),
           "uniform_iq4": qt.uniform_iq(4, 0.5)}
+
+
+# -- reference: one generator call per field -----------------------------------
+
+
+def _complex_gaussian(n, variance, rng):
+    g = rng.generator
+    return np.sqrt(variance / 2.0) * (g.standard_normal(n) + 1j * g.standard_normal(n))
+
+
+def _singular_values(n, k, rng):
+    g = rng.generator
+    diag = np.sqrt(g.chisquare(2.0 * (n - np.arange(k))) / 2.0)
+    sub = np.sqrt(g.chisquare(2.0 * (k - 1 - np.arange(k - 1))) / 2.0)
+    main = diag**2
+    main[1:] += sub**2
+    lam = eigvalsh_tridiagonal(main, diag[:-1] * sub, lapack_driver="sterf")
+    return np.sqrt(np.sort(np.maximum(lam, 0.0))[::-1] / n)
+
+
+def _raw_draw_fields(config, rng):
+    n, k = config.n, config.k
+    return dict(d=_singular_values(n, k, rng),
+                g1=_complex_gaussian(k, 1.0, rng), g2=_complex_gaussian(k, 1.0, rng),
+                z1=_complex_gaussian(n, 1.0, rng), z2=_complex_gaussian(n, 1.0, rng),
+                s=sample_constellation(config.points, k, rng))
+
+
+# -- reference: trial by trial --------------------------------------------------
+
+
+def _simulate_original(config, shaping, quant, rng, trials):
+    n, k = config.n, config.k
+    y = np.empty((trials, k), dtype=complex)
+    s_out = np.empty((trials, k), dtype=complex)
+    etas = np.empty(trials)
+    power = np.empty(trials)
+    for t in range(trials):
+        h = _complex_gaussian(k * n, 1.0 / n, rng).reshape(k, n)
+        u, d, vh = np.linalg.svd(h, full_matrices=False)
+        s = sample_constellation(config.points, k, rng)
+        noise = _complex_gaussian(k, config.sigma2_noise, rng)
+        shaped = shaping(d) * (u.conj().T @ s)
+        ps = vh.conj().T @ shaped
+        qx = np.asarray(qt.quantize(quant, ps))
+        qnorm = float(np.linalg.norm(qx))
+        if qnorm <= 0:
+            raise DegenerateDrawError("quantized transmit vector is identically zero")
+        eta = np.sqrt(config.power_limit * n) / qnorm
+        y[t] = eta * (h @ qx) + noise
+        s_out[t] = s
+        etas[t] = eta
+        power[t] = eta**2 * qnorm**2 / n
+    return md.OriginalBatch(y=y, s=s_out, eta=etas, transmit_power=power)
 
 
 # -- reference: member by member ------------------------------------------------
@@ -219,6 +278,57 @@ def test_chunk_boundaries_match_the_reference(name, k):
     block = opt.feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
     reference = _feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
     assert block.hex() == reference.hex()
+
+
+def _state(rng):
+    return repr(rng.generator.bit_generator.state)
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+def test_one_call_draws_match_the_call_per_field_reference(k):
+    """The same numbers in the same stream order, and the same generator state after."""
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
+    rng, ref = RngStream(k, 9), RngStream(k, 9)
+    for _ in range(3):
+        draw = md.sample_raw_draw(cfg, rng)
+        for name, x in _raw_draw_fields(cfg, ref).items():
+            y = getattr(draw, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert sample_singular_values(cfg.n, k, rng).tobytes() == \
+        _singular_values(cfg.n, k, ref).tobytes()
+    block = sample_complex_gaussian((3, cfg.n), 0.1, rng)
+    assert block.shape == (3, cfg.n)
+    assert block.tobytes() == np.array([_complex_gaussian(cfg.n, 0.1, ref)
+                                        for _ in range(3)]).tobytes()
+    assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("k", [8, 16])
+@pytest.mark.parametrize("name", list(QUANTS))
+def test_original_model_chunks_match_the_trial_by_trial_reference(name, k):
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
+    trials = _across_chunks(cfg, k)  # a chunk holds _chunk_draws(cfg, K) channels of K x N
+    rng, ref = RngStream(k, 10), RngStream(k, 10)
+    block = md.simulate_original(cfg, md.rzf(0.25), QUANTS[name], rng, trials)
+    reference = _simulate_original(cfg, md.rzf(0.25), QUANTS[name], ref, trials)
+    for f in dataclasses.fields(md.OriginalBatch):
+        x, y = getattr(block, f.name), getattr(reference, f.name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+    assert _state(rng) == _state(ref)
+
+
+def test_original_model_raises_on_a_vanishing_quantized_vector(monkeypatch):
+    cfg = md.SystemConfig.with_gamma(k=8, gamma=4.0)
+    original = md.quantize
+
+    def quantize(spec, z):
+        out = original(spec, z)
+        out[3] = 0  # one trial of the chunk
+        return out
+
+    monkeypatch.setattr(md, "quantize", quantize)
+    with pytest.raises(DegenerateDrawError):
+        md.simulate_original(cfg, md.rzf(0.25), qt.one_bit(), RngStream(8, 11), 10)
 
 
 def test_chunk_size_bounds_the_block():

@@ -95,7 +95,8 @@ def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["converge-sinr", "bounds-audit", "optimize"])
+@pytest.mark.parametrize("suite", ["converge-sinr", "bounds-audit", "optimize",
+                                   "converge-sep", "equivalence"])
 def test_one_trial_is_config_error_where_sinr_is_estimated(tmp_path, capsys, suite):
     path = _write_config(tmp_path, suite, k_ladder="8 16", seeds="1", trials=1)
     assert cli.main(["run", str(path)]) == 2
