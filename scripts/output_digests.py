@@ -11,9 +11,12 @@ so "bitwise against the parent" is a diff of two runs:
     diff parent.txt change.txt
 
 The default grid is {one_bit, phase_ce(8), uniform_iq(4, 0.5)} x K in
-{16, 64, 1024} x seeds {1, 2}; the original model's channel SVD dominates
-its time at K = 1024.  Its 12 trials fit in one chunk of draws at K = 16
-and 64, so a second run crosses the chunk boundaries of every sampler there:
+{16, 64, 1024} x seeds {1, 2}.  At K = 1024 one seed of one quantizer
+takes about 12 s on a 2-core host: optimal_gap_report about 6 s, and the
+original model's two trials (a 1024 x 4096 channel each, with its Gram
+matrix and eigh) about 4 s.  The default 12 trials fit in one chunk of draws
+at K = 16 and 64, so a second run crosses the chunk boundaries of every
+sampler there:
 
     PYTHONPATH=src python3 scripts/output_digests.py --k 16 64 --trials 150
 
@@ -37,7 +40,8 @@ QUANTS = {"one_bit": qt.one_bit(), "phase_ce8": qt.phase_ce(8),
           "uniform_iq4": qt.uniform_iq(4, 0.5)}
 GRID = opt.FamilyGrid(points=9)
 SHAPING = md.rzf(0.25)
-# Each trial of the original model is a full channel SVD (seconds at K = 1024).
+# Each trial of the original model is a dense K x 4K channel with its Gram
+# matrix and eigh: about 2 s at K = 1024.
 ORIGINAL_TRIALS = 2
 TAIL_EPS = 0.5
 TAIL_KS = (10**3, 10**6)

@@ -228,17 +228,23 @@ def _stream(seed: int, purpose: str, k: int, rep: int = 0) -> RngStream:
     return RngStream(seed, index << (2 * _FIELD_BITS) | k << _FIELD_BITS | rep)
 
 
+def _lap(records: list[Record], mark: tuple[float, int] | None = None) -> tuple[float, int]:
+    """Stamp the records made since ``mark`` with the time since it; return the next mark."""
+    now = time.perf_counter()
+    if mark is not None:
+        for r in records[mark[1]:]:
+            r.wall_time = now - mark[0]
+    return now, len(records)
+
+
 def _run_cells(cfg: ExperimentConfig, cell_fn) -> list[Record]:
     """Run the (seed, K) cells in order, stamping each record with its cell's time."""
-    records = []
+    records: list[Record] = []
+    mark = _lap(records)
     for seed in cfg.seeds:
         for k in cfg.k_ladder:
-            t0 = time.perf_counter()
-            recs = cell_fn(seed, k)
-            dt = time.perf_counter() - t0
-            for r in recs:
-                r.wall_time = dt
-            records += recs
+            records += cell_fn(seed, k)
+            mark = _lap(records, mark)
     return records
 
 
@@ -366,6 +372,7 @@ def _suite_kyfan_rate(cfg: ExperimentConfig):
 def _suite_bounds_audit(cfg: ExperimentConfig):
     records: list[Record] = []
     checks: dict[str, bool] = {}
+    mark = _lap(records)  # each section's records get that section's time
     k_big = cfg.k_ladder[-1]
     system = cfg.system(k_big)
     coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
@@ -378,6 +385,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
                           float(abs(gm.ezq)), bound=target + 1e-6,
                           holds=abs(abs(gm.ezq) - target) < 1e-6))
     checks["one_bit_correlation"] = abs(abs(gm.ezq) - target) < 1e-6
+    mark = _lap(records, mark)
 
     # Envelope sandwich on a grid.
     env = qnt.envelope(cfg.quantizer, "real", tau=0.1)
@@ -391,6 +399,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     records.append(Record(cfg.name, 0, k_big, "envelope_sandwich_viol",
                           float(max(np.max(lo_v - mid), np.max(mid - hi_v))),
                           bound=0.0, holds=sandwich))
+    mark = _lap(records, mark)
 
     # Linear spectral statistic variance against its bound, per ladder K.
     m1 = bnd.assumption_m1(cfg.shaping, cfg.gamma)
@@ -404,6 +413,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         bound = spc.lss_variance_bound(m1, k)
         records.append(Record(cfg.name, cfg.seeds[0], k, "lss_variance", var,
                               bound=bound, holds=var <= bound))
+        mark = _lap(records, mark)
     checks["lss_variance"] = all(r.holds for r in records
                                  if r.metric == "lss_variance")
 
@@ -428,6 +438,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
                               exceed / reps, bound=qb, holds=exceed / reps <= qb))
         records.append(Record(cfg.name, cfg.seeds[0], k_big, f"cross_tail_{eps}",
                               cross / reps, bound=cb, holds=cross / reps <= cb))
+    mark = _lap(records, mark)
     checks["form_tails"] = all(r.holds for r in records
                                if r.metric.startswith(("quad_tail", "cross_tail")))
 
@@ -439,6 +450,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     checks["boundary_collar"] = mass <= collar
     records.append(Record(cfg.name, cfg.seeds[0], k_big, "boundary_collar_mass",
                           mass, bound=collar, holds=mass <= collar))
+    mark = _lap(records, mark)
 
     # SEP and SINR gap bounds at the largest ladder point, one record per seed.
     sinr_ok, sep_ok = [], []
@@ -467,6 +479,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
         sep_ok.append(ok)
         records.append(Record(cfg.name, seed, k_big, "sep_gap_vs_bound", sep_gap,
                               bound=sep_bound, holds=ok))
+        mark = _lap(records, mark)
     checks["sinr_gap_bound"] = all(sinr_ok)
     checks["sep_gap_bound"] = all(sep_ok)
     return records, checks
@@ -491,6 +504,7 @@ def _suite_optimize(cfg: ExperimentConfig):
     records: list[Record] = []
     checks: dict[str, bool] = {}
     gaps = []
+    mark = _lap(records)
     for k in cfg.k_ladder:
         system = cfg.system(k)
         asym = opt.solve_asymptotic(system, cfg.quantizer, cfg.grid)
@@ -511,6 +525,7 @@ def _suite_optimize(cfg: ExperimentConfig):
                                          max(50, cfg.trials // 10))
         records.append(Record(cfg.name, cfg.seeds[0], k, "feasibility_deviation", fdev))
         records.append(Record(cfg.name, cfg.seeds[0], k, "asymptotic_value", asym.value))
+        mark = _lap(records, mark)
         gaps.append(float(np.mean([r.empirical for r in per_seed])) / asym.value)
     checks["bound_holds"] = all(r.holds for r in records
                                 if r.metric == "optimal_value_gap")
@@ -530,6 +545,7 @@ def _suite_tail_audit(cfg: ExperimentConfig):
     params = bnd.cascade_params(system, cfg.shaping, cfg.quantizer)
     ladder = [1_000, 10_000, 100_000, 1_000_000]
     tg_vals, ts_vals = [], []
+    mark = _lap(records)
     for k in ladder:
         tg = bnd.interference_gain_tail(cfg.eps, k, params)
         ts = bnd.signal_gain_tail(cfg.eps, k, params)
@@ -539,6 +555,7 @@ def _suite_tail_audit(cfg: ExperimentConfig):
                               bound=tg.threshold, holds=tg.applicable))
         records.append(Record(cfg.name, 0, k, "signal_tail", ts.value,
                               bound=ts.threshold, holds=ts.applicable))
+        mark = _lap(records, mark)
     far = [bnd.interference_gain_tail(cfg.eps, 10**p, params).value
            for p in (50, 60, 70)]
     checks = {

@@ -1,8 +1,10 @@
 """The three downlink models: finite original, Gaussian equivalent, scalar limit.
 
 Original model
-    y = eta * H q(P s) + n, with P = V f(D)^T U^H built from the channel SVD
+    y = eta * H q(P s) + n, with P = V f(D)^T U^H for the channel SVD
     H = U D V^H and a shaping function f applied to the singular values.
+    P is built without the SVD: with H H^H = U diag(d^2) U^H, P s equals
+    H^H U diag(f(d)/d) U^H s.
 
 Statistically equivalent model
     Replaces the Haar factors by independent Gaussian vectors via Householder
@@ -21,7 +23,7 @@ per draw for the finite models, in expectation for the scalar model.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -30,6 +32,7 @@ from .quantizer import GaussianMoments, QuantizerSpec, _squared, gaussian_moment
 from .spectral import MpLaw, mp_moment, sample_singular_values
 from .stochastic import (
     DegenerateDrawError,
+    _complex_entries,
     RngStream,
     complement_embed,
     complement_project,
@@ -248,14 +251,20 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
                       quant: QuantizerSpec, rng: RngStream, trials: int) -> OriginalBatch:
     """Sample the original model; eta enforces the power budget per draw.
 
-    Each trial draws its channel H, then s, then the noise, one trial at a
-    time; a chunk of ``_chunk_draws(config, K)`` trials is then evaluated as
-    one stack: one SVD call, and matrix products whose entries equal those of
-    one trial alone bit for bit.
+    Each trial reads its channel H, then the indices of s, then the noise, in
+    one generator call each, into the arrays of its chunk of
+    ``_chunk_draws(config, K)`` trials.  A chunk is evaluated as one stack.
+    The precoder comes from one stacked eigh of the Gram matrices H H^H, not
+    from an SVD: P s = H^H U diag(f(d)/d) U^H s.  P s differs from the SVD
+    form only in rounding, and the outputs see it only through the
+    quantizer's decisions, so y, s, eta and the transmit power keep the
+    SVD form's bits unless a decision flips.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, k = config.n, config.k
+    generator, points = rng.generator, config.points
+    m, noisy = len(points), config.sigma2_noise > 0
     y = np.empty((trials, k), dtype=complex)
     s = np.empty((trials, k), dtype=complex)
     etas = np.empty(trials)
@@ -263,22 +272,26 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
     size = _chunk_draws(config, k)
     for start in range(0, trials, size):
         rows = slice(start, min(start + size, trials))
-        h = np.empty((rows.stop - start, k * n), dtype=complex)
-        noise = np.empty((len(h), k), dtype=complex)
-        for i in range(len(h)):
-            h[i] = sample_complex_gaussian(k * n, 1.0 / n, rng)
-            s[start + i] = sample_constellation(config.points, k, rng)
-            noise[i] = sample_complex_gaussian(k, config.sigma2_noise, rng)
-        h = h.reshape(-1, k, n)
-        u, d, vh = np.linalg.svd(h, full_matrices=False)
-        # P s = V f(D)^T U^H s, using only the thin factors.
-        shaped = shaping(d)[..., None] * (u.conj().swapaxes(1, 2) @ s[rows, :, None])
-        qx = quantize(quant, vh.conj().swapaxes(1, 2) @ shaped)
+        count = rows.stop - start
+        h, idx = np.empty((count, 2, k * n)), np.empty((count, k), dtype=int)
+        e = np.zeros((count, 2, k))  # unread at noise variance 0: its entries are then +0
+        for i in range(count):
+            generator.standard_normal(out=h[i])
+            idx[i] = generator.integers(0, m, size=k)
+            if noisy:
+                generator.standard_normal(out=e[i])
+        h = _complex_entries(h, 1.0 / n).reshape(count, k, n)
+        s[rows] = points[idx]
+        h_adj = h.conj().swapaxes(1, 2)
+        lam, u = np.linalg.eigh(h @ h_adj)
+        d = np.sqrt(np.maximum(lam, 0.0))
+        coef = (shaping(d) / d)[..., None] * (u.conj().swapaxes(1, 2) @ s[rows, :, None])
+        qx = quantize(quant, h_adj @ (u @ coef))
         qnorm = complex_norm(qx[..., 0])
         if (qnorm <= 0).any():
             raise DegenerateDrawError("quantized transmit vector is identically zero")
         eta = np.sqrt(config.power_limit * n) / qnorm
-        y[rows] = eta[:, None] * (h @ qx)[..., 0] + noise
+        y[rows] = eta[:, None] * (h @ qx)[..., 0] + _complex_entries(e, config.sigma2_noise)
         etas[rows] = eta
         power[rows] = _squared(eta) * _squared(qnorm) / n
     return OriginalBatch(y=y, s=s, eta=etas, transmit_power=power)
@@ -323,13 +336,9 @@ class RawDraw:
 
 
 def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
-    """One trial's draw: d, then (g1, g2) in one call and (z1, z2) in one call, then s."""
-    n, k = config.n, config.k
-    d = sample_singular_values(n, k, rng)
-    g1, g2 = sample_complex_gaussian((2, k), 1.0, rng)
-    z1, z2 = sample_complex_gaussian((2, n), 1.0, rng)
-    return RawDraw(d=d, g1=g1, g2=g2, z1=z1, z2=z2,
-                   s=sample_constellation(config.points, k, rng))
+    """One trial's draw: row 0 of a one-trial chunk of ``draw_chunks``."""
+    block, _ = _read_draws(config, rng, 1, 0)
+    return RawDraw(**{f.name: getattr(block, f.name)[0] for f in fields(block) if f.init})
 
 
 # Complex entries in one (draws x members x N) array of a chunk: 256 KB, small
@@ -342,6 +351,37 @@ def _chunk_draws(config: SystemConfig, members: int) -> int:
     return max(1, _CHUNK_ENTRIES // (members * config.n))
 
 
+def _read_draws(config: SystemConfig, rng: RngStream, count: int,
+                users: int) -> tuple[RawDraw, np.ndarray]:
+    """``count`` trials' raw draws as one RawDraw block, and their (count x users) noise.
+
+    Trial i reads d, then (g1, g2) in one call, (z1, z2) in one call and the
+    indices of s, then the noise of its first ``users`` users (nothing for 0
+    users or noise variance 0), straight into the chunk's arrays.  A trial
+    whose g1 or z1 is all zero raises before the next trial is read; the
+    block's per-row norms are the exact check.
+    """
+    n, k = config.n, config.k
+    generator, points = rng.generator, config.points
+    m, noisy = len(points), users > 0 and config.sigma2_noise > 0
+    d, idx = np.empty((count, k)), np.empty((count, k), dtype=int)
+    g, z = np.empty((count, 2, 2, k)), np.empty((count, 2, 2, n))
+    e = np.zeros((count, 2, users))  # unread at noise variance 0: its entries are then +0
+    for i in range(count):
+        d[i] = sample_singular_values(n, k, rng)
+        generator.standard_normal(out=g[i])
+        generator.standard_normal(out=z[i])
+        idx[i] = generator.integers(0, m, size=k)
+        if not (np.count_nonzero(g[i, 0]) and np.count_nonzero(z[i, 0])):
+            raise DegenerateDrawError("degenerate draw in the equivalent model")
+        if noisy:
+            generator.standard_normal(out=e[i])
+    block = RawDraw(d=d, g1=_complex_entries(g[:, 0], 1.0), g2=_complex_entries(g[:, 1], 1.0),
+                    z1=_complex_entries(z[:, 0], 1.0), z2=_complex_entries(z[:, 1], 1.0),
+                    s=points[idx])
+    return block, _complex_entries(e, config.sigma2_noise)
+
+
 def draw_chunks(config: SystemConfig, rng: RngStream, trials: int, members: int,
                 users: int = 0):
     """The trials' raw draws, in chunks of ``_chunk_draws(config, members)``.
@@ -349,21 +389,14 @@ def draw_chunks(config: SystemConfig, rng: RngStream, trials: int, members: int,
     Yields (the chunk's slice of the trials, its draws as one RawDraw block,
     their (rows x users) noise).  Each draw is followed by the noise of its
     first ``users`` users (none for 0), so the stream is read in the order of
-    one trial at a time; a degenerate draw raises as soon as it is drawn.
+    one trial at a time; a degenerate draw raises before the next is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     size = _chunk_draws(config, members)
     for start in range(0, trials, size):
         rows = slice(start, min(start + size, trials))
-        draws, noise = [], np.empty((rows.stop - start, users), dtype=complex)
-        for i in range(len(noise)):
-            draws.append(sample_raw_draw(config, rng))
-            if users:
-                noise[i] = sample_complex_gaussian(users, config.sigma2_noise, rng)
-        block = RawDraw(**{name: np.array([getattr(draw, name) for draw in draws])
-                           for name in ("d", "g1", "g2", "z1", "z2", "s")})
-        yield rows, block, noise
+        yield (rows, *_read_draws(config, rng, rows.stop - start, users))
 
 
 def scale_pair(block: RawDraw, config: SystemConfig,

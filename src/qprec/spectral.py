@@ -168,8 +168,8 @@ def sample_singular_values(n: int, k: int, rng: RngStream) -> np.ndarray:
         lam = eigvalsh_tridiagonal(main, off, lapack_driver="sterf")
     else:
         lam = main
-    lam = np.maximum(lam, 0.0)
-    return np.sqrt(np.sort(lam)[::-1] / n)
+    # sterf returns the eigenvalues in ascending order; reversing them sorts them descending.
+    return np.sqrt(np.maximum(lam, 0.0)[::-1] / n)
 
 
 def lss_statistic(d: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> float:

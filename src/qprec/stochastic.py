@@ -62,9 +62,17 @@ def sample_complex_gaussian(n: int | tuple[int, ...], variance: float,
         raise ValueError("variance must be finite and nonnegative")
     if variance == 0.0:
         return np.zeros(shape, dtype=complex)
-    scale = np.sqrt(variance / 2.0)
-    x = rng.generator.standard_normal(shape[:-1] + (2, shape[-1]))
-    return scale * (x[..., 0, :] + 1j * x[..., 1, :])
+    return _complex_entries(rng.generator.standard_normal(shape[:-1] + (2, shape[-1])), variance)
+
+
+def _complex_entries(x: np.ndarray, variance: float) -> np.ndarray:
+    """Complex entries of variance ``variance`` from a (..., 2, n) block of standard normals.
+
+    Along the second-to-last axis, row 0 holds the real parts and row 1 the
+    imaginary parts.  Each entry is computed on its own, so a block of many
+    draws gives the bits of each draw converted alone.
+    """
+    return np.sqrt(variance / 2.0) * (x[..., 0, :] + 1j * x[..., 1, :])
 
 
 def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarray:

@@ -4,6 +4,7 @@ import pytest
 
 from qprec import models as md
 from qprec import quantizer as qt
+from qprec.stochastic import RngStream
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +25,36 @@ def small_config():
 @pytest.fixture(scope="session")
 def mid_config():
     return md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=0.1)
+
+
+class _ZeroingGenerator:
+    """A generator that zeroes row 0 of its ``nth`` standard_normal read of ``shape``.
+
+    Every other call goes to the wrapped generator unchanged.  A raw draw
+    reads (g1, g2) as one (2, 2, K) block and (z1, z2) as one (2, 2, N)
+    block, so zeroing row 0 of one of them makes that trial's g1 or z1 vanish.
+    """
+
+    def __init__(self, generator, shape, nth):
+        self._generator, self._shape, self._left = generator, shape, nth
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+    def standard_normal(self, *args, out=None, **kwargs):
+        result = self._generator.standard_normal(*args, out=out, **kwargs)
+        if out is not None and out.shape == self._shape:
+            self._left -= 1
+            if self._left == 0:
+                out[0] = 0.0
+        return result
+
+
+@pytest.fixture
+def zeroed_stream():
+    """make(seed, stream_id, shape, nth): an RngStream whose nth read of shape has row 0 zeroed."""
+    def make(seed, stream_id, shape, nth):
+        rng = RngStream(seed, stream_id)
+        rng.generator = _ZeroingGenerator(rng.generator, shape, nth)
+        return rng
+    return make

@@ -55,6 +55,15 @@ def _raw_draw_fields(config, rng):
                 s=sample_constellation(config.points, k, rng))
 
 
+def _raw_draw(config, rng):
+    return md.RawDraw(**_raw_draw_fields(config, rng))
+
+
+def _noise(users, variance, rng):
+    """Noise that reads nothing at variance 0, as the samplers' noise does."""
+    return np.zeros(users, dtype=complex) if variance == 0 else _complex_gaussian(users, variance, rng)
+
+
 # -- reference: trial by trial --------------------------------------------------
 
 
@@ -68,7 +77,7 @@ def _simulate_original(config, shaping, quant, rng, trials):
         h = _complex_gaussian(k * n, 1.0 / n, rng).reshape(k, n)
         u, d, vh = np.linalg.svd(h, full_matrices=False)
         s = sample_constellation(config.points, k, rng)
-        noise = _complex_gaussian(k, config.sigma2_noise, rng)
+        noise = _noise(k, config.sigma2_noise, rng)
         shaped = shaping(d) * (u.conj().T @ s)
         ps = vh.conj().T @ shaped
         qx = np.asarray(qt.quantize(quant, ps))
@@ -165,8 +174,8 @@ def _sample_coupled(models, rng, trials):
                for name in ("interference_gain", "input_scale", "power_scale")}
             for _ in models]
     for t in range(trials):
-        draw = md.sample_raw_draw(config, rng)
-        noise = md.sample_complex_gaussian(1, config.sigma2_noise, rng)
+        draw = _raw_draw(config, rng)
+        noise = _noise(1, config.sigma2_noise, rng)
         s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
         for m, out in zip(models, outs):
             ev = _evaluate(draw, config, m.shaping, m.quant)
@@ -191,7 +200,7 @@ def _feasibility_deviation(config, quant, grid, rng, trials):
     limits = {f.label: md.asymptotic_model(config, f, quant) for f in members}
     total = 0.0
     for _ in range(trials):
-        draw = md.sample_raw_draw(config, rng)
+        draw = _raw_draw(config, rng)
         worst = 0.0
         for f in members:
             alpha, eta, _, _ = _scale_pair(draw, config, f, quant)
@@ -208,8 +217,8 @@ def _simulate_equivalent(config, shaping, quant, rng, trials):
     out = {name: np.empty(trials, dtype=dtype) for name, dtype in fields.items()}
     out |= {name: np.empty((trials, config.k), dtype=complex) for name in ("y_hat", "s")}
     for t in range(trials):
-        draw = md.sample_raw_draw(config, rng)
-        noise = md.sample_complex_gaussian(config.k, config.sigma2_noise, rng)
+        draw = _raw_draw(config, rng)
+        noise = _noise(config.k, config.sigma2_noise, rng)
         ev = _evaluate(draw, config, shaping, quant)
         out["signal_gain"][t] = ev["t_s"]
         out["interference_gain"][t] = ev["t_g"]
@@ -271,9 +280,7 @@ def test_chunk_boundaries_match_the_reference(name, k):
                          _sample_coupled([coupled[5]], RngStream(k, 5), trials))
     block = md.simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
     reference = _simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
-    for f in dataclasses.fields(md.EquivalentBatch):
-        x, y = getattr(block, f.name), getattr(reference, f.name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+    _assert_same_batch(block, reference, md.EquivalentBatch)
     trials = _across_chunks(cfg, len(members))
     block = opt.feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
     reference = _feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
@@ -303,18 +310,80 @@ def test_one_call_draws_match_the_call_per_field_reference(k):
     assert _state(rng) == _state(ref)
 
 
-@pytest.mark.parametrize("k", [8, 16])
-@pytest.mark.parametrize("name", list(QUANTS))
-def test_original_model_chunks_match_the_trial_by_trial_reference(name, k):
-    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
-    trials = _across_chunks(cfg, k)  # a chunk holds _chunk_draws(cfg, K) channels of K x N
-    rng, ref = RngStream(k, 10), RngStream(k, 10)
-    block = md.simulate_original(cfg, md.rzf(0.25), QUANTS[name], rng, trials)
-    reference = _simulate_original(cfg, md.rzf(0.25), QUANTS[name], ref, trials)
-    for f in dataclasses.fields(md.OriginalBatch):
+def _original_config(k, geometry):
+    """gamma = 4, or N = K + 1: the worst Gram conditioning a config allows."""
+    if geometry == "gamma4":
+        return md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
+    return md.SystemConfig(n=k + 1, k=k, sigma2_noise=0.1)
+
+
+def _assert_same_batch(block, reference, batch_type):
+    for f in dataclasses.fields(batch_type):
         x, y = getattr(block, f.name), getattr(reference, f.name)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+
+
+ORIGINAL_CASES = [(md.rzf(0.25), "gamma4"), (md.mf(), "gamma4"), (md.zf(), "gamma4"),
+                  (md.zf(), "k_plus_1")]
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+@pytest.mark.parametrize("name", list(QUANTS))
+def test_original_model_chunks_match_the_trial_by_trial_reference(name, k):
+    """The Gram-eigh precoder gives the SVD reference's bits, across chunk boundaries."""
+    for shaping, geometry in ORIGINAL_CASES:
+        cfg = _original_config(k, geometry)
+        trials = _across_chunks(cfg, k)  # a chunk holds _chunk_draws(cfg, K) channels of K x N
+        rng, ref = RngStream(k, 10), RngStream(k, 10)
+        block = md.simulate_original(cfg, shaping, QUANTS[name], rng, trials)
+        reference = _simulate_original(cfg, shaping, QUANTS[name], ref, trials)
+        _assert_same_batch(block, reference, md.OriginalBatch)
+        assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("shaping, geometry", ORIGINAL_CASES,
+                         ids=["rzf", "mf", "zf", "zf_n_k_plus_1"])
+@pytest.mark.parametrize("k", [8, 16, 64])
+def test_original_model_precoder_matches_the_svd_reference(k, shaping, geometry):
+    """Through a near-identity quantizer, y / eta shows the precoder itself."""
+    cfg = _original_config(k, geometry)
+    trials = _across_chunks(cfg, k)
+    quant = qt.identity_like()
+    block = md.simulate_original(cfg, shaping, quant, RngStream(k, 12), trials)
+    reference = _simulate_original(cfg, shaping, quant, RngStream(k, 12), trials)
+    assert block.s.tobytes() == reference.s.tobytes()
+    x, y = block.y / block.eta[:, None], reference.y / reference.eta[:, None]
+    assert np.abs(x - y).max() <= 1e-10 * np.abs(y).max()
+    np.testing.assert_allclose(block.eta, reference.eta, rtol=1e-10)
+
+
+def test_noiseless_configs_read_no_noise():
+    """Noise variance 0 reads nothing: both chunk readers keep the reference's stream."""
+    k = 16
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.0)
+    trials = _across_chunks(cfg, k)
+    rng, ref = RngStream(k, 13), RngStream(k, 13)
+    _assert_same_batch(md.simulate_original(cfg, md.rzf(0.25), qt.one_bit(), rng, trials),
+                       _simulate_original(cfg, md.rzf(0.25), qt.one_bit(), ref, trials),
+                       md.OriginalBatch)
     assert _state(rng) == _state(ref)
+    trials = _across_chunks(cfg, 1)
+    rng, ref = RngStream(k, 14), RngStream(k, 14)
+    _assert_same_batch(md.simulate_equivalent(cfg, md.rzf(0.25), qt.one_bit(), rng, trials),
+                       _simulate_equivalent(cfg, md.rzf(0.25), qt.one_bit(), ref, trials),
+                       md.EquivalentBatch)
+    assert _state(rng) == _state(ref)
+
+
+@pytest.mark.parametrize("k", [8, 64])
+def test_a_raw_draw_is_row_0_of_a_one_trial_chunk(k):
+    cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
+    draw = md.sample_raw_draw(cfg, RngStream(k, 15))
+    (rows, block, noise), = md.draw_chunks(cfg, RngStream(k, 15), 1, 1)
+    assert (rows, noise.shape) == (slice(0, 1), (1, 0))
+    for f in (f for f in dataclasses.fields(md.RawDraw) if f.init):
+        x, y = getattr(draw, f.name), getattr(block, f.name)[0]
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
 
 
 def test_original_model_raises_on_a_vanishing_quantized_vector(monkeypatch):
@@ -360,11 +429,21 @@ def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
         md.asymptotic_model(cfg, f, qt.one_bit())
     size = md._chunk_draws(cfg, 11)
     trials = 2 * size + 1
-    draws = _count_calls(monkeypatch, md, "sample_raw_draw")
+    draws = _count_calls(monkeypatch, md, "sample_singular_values")
     quantizes = _count_calls(monkeypatch, md, "quantize")
     moments = _count_calls(monkeypatch, md, "gaussian_moments")
     md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(4, 0), trials)
     assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 1)
+
+
+def test_draw_chunks_draws_one_spectrum_per_trial(monkeypatch):
+    """The tier-1 twin of the benchmark tracer's count of spectrum draws."""
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
+    trials = _across_chunks(cfg, 1)
+    spectra = _count_calls(monkeypatch, md, "sample_singular_values")
+    chunks = list(md.draw_chunks(cfg, RngStream(16, 16), trials, 1, users=1))
+    assert (len(chunks), sum(len(block.d) for _, block, _ in chunks)) == (3, trials)
+    assert len(spectra) == trials
 
 
 def _one_row_block(draw):
@@ -373,18 +452,12 @@ def _one_row_block(draw):
                          for f in dataclasses.fields(draw) if f.init})
 
 
-def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch):
+def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch, zeroed_stream):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
-    good = md.sample_raw_draw(cfg, RngStream(5, 0))
-    calls = []
-
-    def draw(config, rng):
-        calls.append(1)
-        return dataclasses.replace(good, g1=np.zeros_like(good.g1))
-
-    monkeypatch.setattr(md, "sample_raw_draw", draw)
+    rng = zeroed_stream(5, 0, (2, 2, cfg.k), 1)  # the first trial's g1 vanishes
+    calls = _count_calls(monkeypatch, md, "sample_singular_values")
     with pytest.raises(DegenerateDrawError):
-        md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(5, 0), 5)
+        md.sample_coupled(cfg, qt.one_bit(), GRID.members(), rng, 5)
     assert len(calls) == 1
 
 
@@ -399,21 +472,13 @@ def test_block_rows_follow_the_shapings():
             == [getattr(alone, f)[0, 0] for f in ("alpha", "eta", "c1", "c2", "t_s", "t_g")]
 
 
-def test_degenerate_draw_inside_a_chunk_raises_at_once(monkeypatch):
+def test_degenerate_draw_inside_a_chunk_raises_at_once(monkeypatch, zeroed_stream):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
-    good = md.sample_raw_draw(cfg, RngStream(7, 0))
     size = md._chunk_draws(cfg, 1)
-    calls = []
-
-    def draw(config, rng):
-        calls.append(1)
-        if len(calls) == size + 3:
-            return dataclasses.replace(good, s=np.zeros_like(good.s))
-        return dataclasses.replace(good)
-
-    monkeypatch.setattr(md, "sample_raw_draw", draw)
+    rng = zeroed_stream(7, 0, (2, 2, cfg.n), size + 3)  # that trial's z1 vanishes
+    calls = _count_calls(monkeypatch, md, "sample_singular_values")
     with pytest.raises(DegenerateDrawError):
-        md.sample_coupled(cfg, qt.one_bit(), [md.rzf(0.25)], RngStream(7, 0), 3 * size)
+        md.sample_coupled(cfg, qt.one_bit(), [md.rzf(0.25)], rng, 3 * size)
     assert len(calls) == size + 3
 
 

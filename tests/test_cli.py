@@ -168,6 +168,15 @@ def test_no_stream_is_opened_twice_in_a_run(tmp_path, monkeypatch):
         cli._stream(1, "coupled", 2**20)
 
 
+@pytest.mark.parametrize("name, ladder", [("optimize", "8 16"), ("bounds-audit", "8 16"),
+                                           ("tail-audit", "64")])
+def test_suites_outside_the_cell_engine_time_every_record(tmp_path, name, ladder):
+    path = _write_config(tmp_path, name, k_ladder=ladder, seeds="1 2", trials=40,
+                         body="[grid]\npoints = 2")
+    records, _ = cli.SUITES[name](cli.parse_config(path))
+    assert records and all(r.wall_time > 0 for r in records)
+
+
 def test_converge_sinr_small_ladder(tmp_path):
     path = _write_config(tmp_path, "converge-sinr", k_ladder="16 64",
                          seeds="1 2", trials=500)

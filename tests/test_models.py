@@ -263,18 +263,18 @@ def test_shared_draw_sampler_matches_each_model_alone(quant):
 
 
 def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_config,
-                                                 monkeypatch):
-    good = md.sample_raw_draw(small_config, RngStream(3, 0))
+                                                 monkeypatch, zeroed_stream):
     calls = []
+    original = md.sample_singular_values
 
-    def draw(config, rng):
+    def spectrum(n, k, rng):
         calls.append(1)
-        return dataclasses.replace(good, g1=np.zeros_like(good.g1))
+        return original(n, k, rng)
 
-    monkeypatch.setattr(md, "sample_raw_draw", draw)
+    monkeypatch.setattr(md, "sample_singular_values", spectrum)
     coupled = md.functional_models(small_config, rzf_shaping, one_bit_q)
-    with pytest.raises(DegenerateDrawError):
-        coupled.sample(RngStream(3, 0), 5)
+    with pytest.raises(DegenerateDrawError):  # the first trial's g1 vanishes
+        coupled.sample(zeroed_stream(3, 0, (2, 2, small_config.k), 1), 5)
     assert len(calls) == 1
 
 
