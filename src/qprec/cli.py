@@ -261,9 +261,8 @@ def _suite_mp_check(cfg: ExperimentConfig):
 
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
-        draw = spc.sample_channel(system, _stream(seed, "channel", k))
         law = system.law
-        xs = np.sort(draw.d)
+        xs = np.sort(spc.sample_channel(system, _stream(seed, "channel", k)))
         cdf = np.array([spc.mp_cdf_sv(x, law) for x in xs])
         n = xs.size
         ks = float(np.max(np.maximum(np.abs(np.arange(1, n + 1) / n - cdf),

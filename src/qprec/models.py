@@ -23,12 +23,12 @@ per draw for the finite models, in expectation for the scalar model.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .quantizer import GaussianMoments, QuantizerSpec, _squared, gaussian_moments, quantize
+from .quantizer import GaussianMoments, QuantizerSpec, gaussian_moments, quantize
 from .spectral import MpLaw, mp_moment, sample_singular_values
 from .stochastic import (
     DegenerateDrawError,
@@ -56,10 +56,8 @@ class SystemConfig:
     power_limit: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.k < 3 or self.n < self.k:
-            raise ValueError("need N >= K >= 3")
-        if self.n <= self.k:
-            raise ValueError("aspect ratio N/K must exceed 1")
+        if not self.n > self.k >= 3:
+            raise ValueError("need N > K >= 3")
         if not np.isfinite(self.sigma2_noise) or self.sigma2_noise < 0:
             raise ValueError("noise variance must be finite and >= 0")
         if not (np.isfinite(self.power_limit) and self.power_limit > 0):
@@ -293,7 +291,7 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
         eta = np.sqrt(config.power_limit * n) / qnorm
         y[rows] = eta[:, None] * (h @ qx)[..., 0] + _complex_entries(e, config.sigma2_noise)
         etas[rows] = eta
-        power[rows] = _squared(eta) * _squared(qnorm) / n
+        power[rows] = eta * eta * (qnorm * qnorm) / n
     return OriginalBatch(y=y, s=s, eta=etas, transmit_power=power)
 
 
@@ -312,33 +310,26 @@ class EquivalentBatch:
 
 @dataclass(frozen=True)
 class RawDraw:
-    """The randomness of equivalent-model trials, before shaping and quantizing.
+    """The randomness of a block of equivalent-model trials, one row per trial.
 
-    Each field holds one trial's vector, or one row per trial in a block.
-    ``norms`` = (||s||, ||g1||, ||z1||): floats, or per-row arrays for a block;
-    building a draw where one of them vanishes raises DegenerateDrawError.
+    One trial is a block of one row.  ``norms`` = (||s||, ||g1||, ||z1||),
+    each an array of the rows' norms; building a block where one of them
+    vanishes raises DegenerateDrawError.
     """
 
-    d: np.ndarray    # K singular values
-    g1: np.ndarray   # K, direction of U^H s
-    g2: np.ndarray   # K, interference direction
-    z1: np.ndarray   # N, quantizer input direction
-    z2: np.ndarray   # N, distortion direction
-    s: np.ndarray    # K data symbols
+    d: np.ndarray    # rows x K singular values
+    g1: np.ndarray   # rows x K, direction of U^H s
+    g2: np.ndarray   # rows x K, interference direction
+    z1: np.ndarray   # rows x N, quantizer input direction
+    z2: np.ndarray   # rows x N, distortion direction
+    s: np.ndarray    # rows x K data symbols
     norms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norms = tuple(complex_norm(v) for v in (self.s, self.g1, self.z1))
-        # Python's min for one trial: numpy calls on its three floats take a tenth of a K = 8 trial.
-        if (min(norms) if self.s.ndim == 1 else min(x.min() for x in norms)) <= 0:
+        if min(x.min() for x in norms) <= 0:
             raise DegenerateDrawError("degenerate draw in the equivalent model")
         object.__setattr__(self, "norms", norms)
-
-
-def sample_raw_draw(config: SystemConfig, rng: RngStream) -> RawDraw:
-    """One trial's draw: row 0 of a one-trial chunk of ``draw_chunks``."""
-    block, _ = _read_draws(config, rng, 1, 0)
-    return RawDraw(**{f.name: getattr(block, f.name)[0] for f in fields(block) if f.init})
 
 
 # Complex entries in one (draws x members x N) array of a chunk: 256 KB, small
@@ -454,7 +445,7 @@ def evaluate(block: RawDraw, config: SystemConfig,
     # A (draws x 1 x length) stack broadcasts a draw's vector over the members.
     d, g1, z1, z2_tail = block.d[:, None], block.g1[:, None], block.z1[:, None], block.z2[:, 1:]
     s_norm, g1_norm, z1_norm = (x[:, None] for x in block.norms)
-    c1 = np.vecdot(z1, qz) / (alpha * _squared(z1_norm))
+    c1 = np.vecdot(z1, qz) / (alpha * (z1_norm * z1_norm))
     c2 = complex_norm(complement_project(z1, qz)) / complex_norm(z2_tail)[:, None]
     del qz  # freed before the next (draws x members x N) arrays, to bound peak memory
     # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K entries.
@@ -498,7 +489,7 @@ def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
     return EquivalentBatch(
         signal_gain=t_s, interference_gain=t_g, linear_gain=c1, distortion_rms=c2,
         input_scale=alpha, power_scale=eta,
-        transmit_power=_squared(eta) * _squared(qnorm) / config.n,
+        transmit_power=eta * eta * (qnorm * qnorm) / config.n,
         y_hat=eta[:, None] * (t_s[:, None] * s + t_g[:, None] * g2) + noise, s=s)
 
 
@@ -563,10 +554,10 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
                    trials: int) -> list[CoupledSamples]:
     """Samples of user 0 under every shaping, all on the same draws.
 
-    Each trial draws one RawDraw and its noise, as ``CoupledModel.sample`` does;
-    a chunk of trials is evaluated under every shaping as one block: common
-    random numbers, one spectrum per trial, one quantize call per chunk.  Each
-    shaping's limit is its ``asymptotic_model``.
+    Each trial draws one row of a RawDraw block and its noise, as
+    ``CoupledModel.sample`` does; a chunk of trials is evaluated under every
+    shaping as one block: common random numbers, one spectrum per trial, one
+    quantize call per chunk.  Each shaping's limit is its ``asymptotic_model``.
     ``y_mid``'s moments come from one call over all trials' scales.
     """
     if not shapings:
@@ -575,11 +566,7 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
     ev, *user = _collect(config, quant, shapings, rng, trials, users=1)
     s, g2, noise = (x[:, 0] for x in user)
     alpha, eta, t_s, t_g = ev.alpha, ev.eta, ev.t_s, ev.t_g
-    # Scalar by scalar: numpy's array product of complex arrays fuses
-    # multiply-adds and rounds differently.
-    y_hat = np.array([[e * (ts * s_k + tg * g2_k) + n_k
-                       for e, ts, tg, s_k, g2_k, n_k in zip(*rows, s, g2, noise)]
-                      for rows in zip(eta.tolist(), t_s.tolist(), t_g.tolist())])
+    y_hat = eta * (t_s * s + t_g * g2) + noise
     # Each limit quantity as a (members x 1) column, broadcast over the trials.
     moments = ShapedMoments(*np.array([astuple(m.moments) for m in scalars]).T[..., None])
     ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy import integrate
@@ -185,18 +184,6 @@ def quantize(spec: QuantizerSpec, z: np.ndarray | complex) -> np.ndarray | compl
 # ---------------------------------------------------------------------------
 
 
-def _squared(x: float | np.ndarray) -> float | np.ndarray:
-    """x ** 2 by Python's float power, entry by entry for an array.
-
-    That power is libm's pow, which rounds differently from numpy's x * x in
-    about one case in a thousand; the array forms must match the scalar ones
-    bit for bit.
-    """
-    if np.ndim(x) == 0:
-        return x ** 2
-    return np.fromiter(map(pow, x.ravel().tolist(), repeat(2)), float, x.size).reshape(x.shape)
-
-
 @dataclass(frozen=True)
 class GaussianMoments:
     """Input/output moments of the quantizer under CN(0, alpha^2) input.
@@ -218,12 +205,14 @@ class GaussianMoments:
 
     @property
     def gain_power(self) -> float | np.ndarray:
-        """|linear_gain|^2, rounded as abs(linear_gain) ** 2."""
-        return _squared(abs(self.linear_gain))
+        """|linear_gain|^2 as the product |c1| * |c1|: the same bits for a float and an array."""
+        gain = abs(self.linear_gain)
+        return gain * gain
 
     @property
     def distortion_rms(self) -> float | np.ndarray:
-        resid = self.eq2 - _squared(abs(self.ezq))
+        corr = abs(self.ezq)
+        resid = self.eq2 - corr * corr
         if np.any(resid < -1e-12):
             raise ValueError("second moment below squared correlation")
         rms = np.sqrt(np.maximum(resid, 0.0))
@@ -254,8 +243,9 @@ def gaussian_moments(spec: QuantizerSpec, alpha: float | np.ndarray) -> Gaussian
     """Moments of q under CN(0, alpha^2) input, for one alpha or an array of them.
 
     Separable kinds use the analytic error-function pieces; phase quantizers
-    have a closed form that does not depend on alpha.  Each entry of an array
-    call equals the scalar call at that alpha bit for bit.
+    have a closed form that does not depend on alpha.  One alpha goes through
+    the same array arithmetic as many, so each entry of an array call equals
+    the scalar call at that alpha bit for bit.
     """
     a = np.asarray(alpha, dtype=float)
     if not np.all(np.isfinite(a)) or np.any(a <= 0):

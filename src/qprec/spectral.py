@@ -115,27 +115,10 @@ def mp_cdf_sv(x: float, law: MpLaw) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One channel realization with its singular value decomposition."""
-
-    h: np.ndarray   # K x N
-    u: np.ndarray   # K x K unitary
-    d: np.ndarray   # K singular values, descending
-    vh: np.ndarray  # K x N (top rows of V^H)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.d) @ self.vh
-
-
-def sample_channel(config: "SystemConfig", rng: RngStream) -> ChannelDraw:
-    """i.i.d. CN(0, 1/N) channel with economic SVD."""
-    n, k = config.n, config.k
-    if k > n:
-        raise ValueError("requires N >= K (aspect ratio gamma > 1)")
-    h = sample_complex_gaussian(k * n, 1.0 / n, rng).reshape(k, n)
-    u, d, vh = np.linalg.svd(h, full_matrices=False)
-    return ChannelDraw(h=h, u=u, d=d, vh=vh)
+def sample_channel(config: "SystemConfig", rng: RngStream) -> np.ndarray:
+    """Singular values, descending, of one i.i.d. CN(0, 1/N) K x N channel draw."""
+    h = sample_complex_gaussian(config.k * config.n, 1.0 / config.n, rng)
+    return np.linalg.svd(h.reshape(config.k, config.n), compute_uv=False)
 
 
 @lru_cache(maxsize=64)

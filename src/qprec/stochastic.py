@@ -45,24 +45,21 @@ class RngStream:
         self.generator = np.random.Generator(np.random.Philox(ss))
 
 
-def sample_complex_gaussian(n: int | tuple[int, ...], variance: float,
-                            rng: RngStream) -> np.ndarray:
-    """i.i.d. circularly-symmetric complex Gaussian entries, n of them or of shape n.
+def sample_complex_gaussian(n: int, variance: float, rng: RngStream) -> np.ndarray:
+    """n i.i.d. circularly-symmetric complex Gaussian entries.
 
     Each entry has independent real/imaginary parts of variance
     ``variance / 2``, so the per-entry second moment is ``variance``.
-    One generator call reads, row by row along the last axis, the row's real
-    parts and then its imaginary parts: a (2, k) request equals two k
-    requests bit for bit.  Variance 0 gives zeros and reads nothing.
+    One generator call reads the n real parts and then the n imaginary
+    parts.  Variance 0 gives zeros and reads nothing.
     """
-    shape = n if isinstance(n, tuple) else (n,)
-    if not shape or min(shape) < 1:
+    if n < 1:
         raise ValueError("n must be >= 1")
     if not math.isfinite(variance) or variance < 0:
         raise ValueError("variance must be finite and nonnegative")
     if variance == 0.0:
-        return np.zeros(shape, dtype=complex)
-    return _complex_entries(rng.generator.standard_normal(shape[:-1] + (2, shape[-1])), variance)
+        return np.zeros(n, dtype=complex)
+    return _complex_entries(rng.generator.standard_normal((2, n)), variance)
 
 
 def _complex_entries(x: np.ndarray, variance: float) -> np.ndarray:
@@ -99,15 +96,13 @@ def sample_constellation(points: np.ndarray, n: int, rng: RngStream) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def complex_norm(x: np.ndarray) -> float | np.ndarray:
-    """np.linalg.norm of a complex vector, or the array of those of a stack's rows.
+def complex_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each complex vector along x's last axis, without its dispatch.
 
-    The same dot products as np.linalg.norm (np.vecdot makes them row by
-    row), so the same bits, without its dispatch.
+    One np.vecdot call makes one dot product per vector, so a vector gets the
+    same bits alone as in a stack.
     """
     re, im = x.real, x.imag
-    if x.ndim == 1:
-        return math.sqrt(re.dot(re) + im.dot(im))
     return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
 
 
@@ -118,12 +113,11 @@ def _householder_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     against the (..., N) operands of the reflectors.
     """
     v = np.asarray(v, dtype=complex)
-    norm = np.asarray(complex_norm(v))
+    norm = complex_norm(v)
     if not ((0.0 < norm) & (norm < math.inf)).all():
         raise ValueError("reflector requires a nonzero finite vector")
-    # Each phase v1/|v1| stays on numpy's scalar path: the array abs rounds differently.
-    sigma = np.array([v1 / abs(v1) if v1 != 0 else complex(1.0)
-                      for v1 in v[..., 0].ravel()]).reshape(norm.shape)
+    v1 = v[..., 0]
+    sigma = np.divide(v1, np.abs(v1), out=np.ones_like(v1), where=v1 != 0)
     w = v.copy()
     w[..., 0] += sigma * norm
     return w, np.vecdot(w, w).real, sigma
@@ -137,10 +131,7 @@ def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     w, wnorm2, sigma = _householder_parts(v)
     x = np.asarray(x, dtype=complex)
     out = x - w * (2.0 * np.vecdot(w, x) / wnorm2)[..., None]
-    # The phase fix stays scalar by scalar: numpy's array product of complex
-    # arrays fuses multiply-adds and rounds differently.
-    first = [-np.conj(s) * o for s, o in zip(sigma.ravel(), out[..., 0].ravel())]
-    out[..., 0] = np.reshape(first, sigma.shape)
+    out[..., 0] = -np.conj(sigma) * out[..., 0]
     return out
 
 

@@ -27,6 +27,15 @@ def mid_config():
     return md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=0.1)
 
 
+@pytest.fixture(scope="session")
+def one_row():
+    """make(config, rng): one trial's raw draw, as the one-row block ``draw_chunks`` yields."""
+    def make(config, rng):
+        (_, block, _), = md.draw_chunks(config, rng, 1, 1)
+        return block
+    return make
+
+
 class _ZeroingGenerator:
     """A generator that zeroes row 0 of its ``nth`` standard_normal read of ``shape``.
 

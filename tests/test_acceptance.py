@@ -86,7 +86,7 @@ def test_criterion_01_bulk_spectrum_support():
     ok = True
     worst = (np.inf, -np.inf)
     for seed in range(1, 21):
-        d = sp.sample_channel(cfg, RngStream(seed, 0)).d
+        d = sp.sample_channel(cfg, RngStream(seed, 0))
         worst = (min(worst[0], d.min()), max(worst[1], d.max()))
         ok &= bool(np.all((d >= lo) & (d <= hi)))
     _report(1, "all singular values inside [0.45, 1.55] for 20 seeds", ok,

@@ -1,17 +1,19 @@
 """The chunked block evaluation against a draw-by-draw, member-by-member
 reference, bit for bit.
 
-The references below are the code that the blocks replaced: one
-``scale_pair``/``evaluate`` per draw and shaping, each with its own reflector
-set-ups and quantize call, and one scalar ``gaussian_moments`` call per trial
-and member for ``y_mid``; one SVD per trial of the original model; one
-generator call per field of a raw draw.  They are kept as they were, with
-their draws written out call by call and the Householder helpers they called,
-so the comparison does not lean on the code under test.
+The references below evaluate one draw and one shaping at a time: each with
+its own reflector set-ups and quantize call, and one scalar
+``gaussian_moments`` call per trial and member for ``y_mid``; one SVD per
+trial of the original model; one generator call per field of a raw draw.
+They use the same array arithmetic as the blocks (phases from a one-element
+slice, squares as products, ``y_hat`` from arrays of per-trial gains), with
+their draws written out call by call and their own Householder helpers, so
+the comparison does not lean on the code under test.
 """
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -56,7 +58,7 @@ def _raw_draw_fields(config, rng):
 
 
 def _raw_draw(config, rng):
-    return md.RawDraw(**_raw_draw_fields(config, rng))
+    return types.SimpleNamespace(**_raw_draw_fields(config, rng))
 
 
 def _noise(users, variance, rng):
@@ -88,7 +90,7 @@ def _simulate_original(config, shaping, quant, rng, trials):
         y[t] = eta * (h @ qx) + noise
         s_out[t] = s
         etas[t] = eta
-        power[t] = eta**2 * qnorm**2 / n
+        power[t] = eta * eta * (qnorm * qnorm) / n
     return md.OriginalBatch(y=y, s=s_out, eta=etas, transmit_power=power)
 
 
@@ -101,7 +103,7 @@ def _householder_parts(v):
     if norm == 0.0 or not np.isfinite(norm):
         raise ValueError("reflector requires a nonzero finite vector")
     v1 = v[0]
-    sigma = v1 / abs(v1) if v1 != 0 else complex(1.0)
+    sigma = (v[:1] / np.abs(v[:1]))[0] if v1 != 0 else complex(1.0)
     w = v.copy()
     w[0] = v1 + sigma * norm
     wnorm2 = float(np.real(np.vdot(w, w)))
@@ -112,7 +114,7 @@ def _reflect(v, x):
     w, wnorm2, sigma = _householder_parts(v)
     x = np.asarray(x, dtype=complex)
     out = x - w * (2.0 * np.vdot(w, x) / wnorm2)
-    out[0] = -np.conj(sigma) * out[0]
+    out[:1] = -np.conj(np.atleast_1d(sigma)) * out[:1]
     return out
 
 
@@ -151,7 +153,7 @@ def _evaluate(draw, config, shaping, quant):
     alpha, eta, qz, shat = _scale_pair(draw, config, shaping, quant)
     d, g1, z1, z2_tail, k = draw.d, draw.g1, draw.z1, draw.z2[1:], config.k
     s_norm, g1_norm, z1_norm = (float(np.linalg.norm(v)) for v in (draw.s, draw.g1, draw.z1))
-    c1 = complex(np.vdot(z1, qz) / (alpha * z1_norm**2))
+    c1 = complex(np.vdot(z1, qz) / (alpha * (z1_norm * z1_norm)))
     c2 = float(np.linalg.norm(_reflect(z1, qz)[1:]) / np.linalg.norm(z2_tail))
     mixed = _complement_embed(shat, z2_tail)[:k]
     w = c1 * d * shat[:k] + c2 * d * mixed
@@ -169,21 +171,21 @@ def _evaluate(draw, config, shaping, quant):
 def _sample_coupled(models, rng, trials):
     config = models[0].config
     outs = [{name: np.empty(trials, dtype=complex)
-             for name in ("s", "y_hat", "y_bar", "y_mid", "signal_gain", "g2_user")}
+             for name in ("s", "y_bar", "y_mid", "signal_gain", "g2_user")}
             | {name: np.empty(trials)
                for name in ("interference_gain", "input_scale", "power_scale")}
             for _ in models]
+    noise = np.empty(trials, dtype=complex)
     for t in range(trials):
         draw = _raw_draw(config, rng)
-        noise = _noise(1, config.sigma2_noise, rng)
-        s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[0]
+        noise[t] = _noise(1, config.sigma2_noise, rng)[0]
+        s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[t]
         for m, out in zip(models, outs):
             ev = _evaluate(draw, config, m.shaping, m.quant)
             model = m.scalar
             ts_mid, tg_mid, _, _ = md.scalar_gains_at(
                 model.moments, model.sigma2_sym, qt.gaussian_moments(m.quant, ev["alpha"]))
             out["s"][t] = s_k
-            out["y_hat"][t] = ev["eta"] * (ev["t_s"] * s_k + ev["t_g"] * g2_k) + n_k
             out["y_bar"][t] = model.power_scale * (model.signal_gain * s_k
                                                    + model.interference_gain * g2_k) + n_k
             out["y_mid"][t] = ev["eta"] * (ts_mid * s_k + tg_mid * g2_k) + n_k
@@ -192,6 +194,9 @@ def _sample_coupled(models, rng, trials):
             out["interference_gain"][t] = ev["t_g"]
             out["input_scale"][t] = ev["alpha"]
             out["power_scale"][t] = ev["eta"]
+    for out in outs:
+        out["y_hat"] = out["power_scale"] * (out["signal_gain"] * out["s"]
+                                             + out["interference_gain"] * out["g2_user"]) + noise
     return [md.CoupledSamples(**out) for out in outs]
 
 
@@ -226,7 +231,7 @@ def _simulate_equivalent(config, shaping, quant, rng, trials):
         out["distortion_rms"][t] = ev["c2"]
         out["input_scale"][t] = ev["alpha"]
         out["power_scale"][t] = ev["eta"]
-        out["transmit_power"][t] = ev["eta"] ** 2 * ev["qnorm"] ** 2 / config.n
+        out["transmit_power"][t] = ev["eta"] * ev["eta"] * (ev["qnorm"] * ev["qnorm"]) / config.n
         out["y_hat"][t] = ev["eta"] * (ev["t_s"] * draw.s + ev["t_g"] * draw.g2) + noise
         out["s"][t] = draw.s
     return md.EquivalentBatch(**out)
@@ -292,21 +297,19 @@ def _state(rng):
 
 
 @pytest.mark.parametrize("k", [8, 16, 64])
-def test_one_call_draws_match_the_call_per_field_reference(k):
+def test_one_call_draws_match_the_call_per_field_reference(k, one_row):
     """The same numbers in the same stream order, and the same generator state after."""
     cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
     rng, ref = RngStream(k, 9), RngStream(k, 9)
     for _ in range(3):
-        draw = md.sample_raw_draw(cfg, rng)
+        draw = one_row(cfg, rng)
         for name, x in _raw_draw_fields(cfg, ref).items():
-            y = getattr(draw, name)
+            y = getattr(draw, name)[0]
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
     assert sample_singular_values(cfg.n, k, rng).tobytes() == \
         _singular_values(cfg.n, k, ref).tobytes()
-    block = sample_complex_gaussian((3, cfg.n), 0.1, rng)
-    assert block.shape == (3, cfg.n)
-    assert block.tobytes() == np.array([_complex_gaussian(cfg.n, 0.1, ref)
-                                        for _ in range(3)]).tobytes()
+    assert sample_complex_gaussian(cfg.n, 0.1, rng).tobytes() == \
+        _complex_gaussian(cfg.n, 0.1, ref).tobytes()
     assert _state(rng) == _state(ref)
 
 
@@ -376,14 +379,24 @@ def test_noiseless_configs_read_no_noise():
 
 
 @pytest.mark.parametrize("k", [8, 64])
-def test_a_raw_draw_is_row_0_of_a_one_trial_chunk(k):
+def test_each_row_of_a_block_is_that_trial_alone(k, one_row):
+    """A one-trial chunk is row 0 of a 12-trial chunk, and each row of that block
+    evaluates under the grid to the bits of the row evaluated alone."""
     cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
-    draw = md.sample_raw_draw(cfg, RngStream(k, 15))
-    (rows, block, noise), = md.draw_chunks(cfg, RngStream(k, 15), 1, 1)
-    assert (rows, noise.shape) == (slice(0, 1), (1, 0))
-    for f in (f for f in dataclasses.fields(md.RawDraw) if f.init):
-        x, y = getattr(draw, f.name), getattr(block, f.name)[0]
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+    draw = one_row(cfg, RngStream(k, 15))
+    (rows, block, noise), = md.draw_chunks(cfg, RngStream(k, 15), 12, 1)
+    assert (rows, noise.shape) == (slice(0, 12), (12, 0))
+    names = [f.name for f in dataclasses.fields(md.RawDraw) if f.init]
+    for name in names:
+        x, y = getattr(draw, name)[0], getattr(block, name)[0]
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    members = GRID.members()
+    whole = md.evaluate(block, cfg, members, qt.phase_ce(8))
+    for i in range(12):
+        row = md.RawDraw(**{name: getattr(block, name)[i:i + 1] for name in names})
+        alone = md.evaluate(row, cfg, members, qt.phase_ce(8))
+        for name, x in vars(whole).items():
+            assert x[i].tobytes() == getattr(alone, name)[0].tobytes(), (i, name)
 
 
 def test_original_model_raises_on_a_vanishing_quantized_vector(monkeypatch):
@@ -446,12 +459,6 @@ def test_draw_chunks_draws_one_spectrum_per_trial(monkeypatch):
     assert len(spectra) == trials
 
 
-def _one_row_block(draw):
-    """A block of one trial: each field of ``draw`` as a (1 x length) array."""
-    return md.RawDraw(**{f.name: getattr(draw, f.name)[None]
-                         for f in dataclasses.fields(draw) if f.init})
-
-
 def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch, zeroed_stream):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     rng = zeroed_stream(5, 0, (2, 2, cfg.k), 1)  # the first trial's g1 vanishes
@@ -461,9 +468,9 @@ def test_degenerate_draw_in_a_block_raises_after_one_draw(monkeypatch, zeroed_st
     assert len(calls) == 1
 
 
-def test_block_rows_follow_the_shapings():
+def test_block_rows_follow_the_shapings(one_row):
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
-    draw = _one_row_block(md.sample_raw_draw(cfg, RngStream(6, 0)))
+    draw = one_row(cfg, RngStream(6, 0))
     members = GRID.members()
     block = md.evaluate(draw, cfg, members, qt.phase_ce(8))
     for i in (0, 4, 10):
@@ -482,10 +489,11 @@ def test_degenerate_draw_inside_a_chunk_raises_at_once(monkeypatch, zeroed_strea
     assert len(calls) == size + 3
 
 
-@pytest.mark.parametrize("k, short", [(16, 200), (64, 50)])
+@pytest.mark.parametrize("k, short", [(16, 200), (64, 50), (64, 65)])
 def test_a_shorter_draw_is_a_prefix_of_a_longer_one(k, short):
     """What lets the acceptance battery slice one draw instead of drawing again;
-    at K = 64 the long draw spans four chunks and the short one part of one."""
+    at K = 64 the long draw spans four chunks and the short one part of one,
+    or one full chunk and a chunk of one row."""
     cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
     coupled = md.functional_models(cfg, md.rzf(0.25), qt.one_bit())
     long, alone = (coupled.sample(RngStream(k, 8), trials) for trials in (250, short))

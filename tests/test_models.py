@@ -279,16 +279,16 @@ def test_degenerate_draw_raises_without_redrawing(one_bit_q, rzf_shaping, small_
 
 
 @pytest.mark.parametrize("name", ["s", "g1", "z1"])
-def test_raw_draw_with_a_vanishing_norm_raises_when_built(small_config, name):
-    one = md.sample_raw_draw(small_config, RngStream(4, 0))
-    other = md.sample_raw_draw(small_config, RngStream(4, 1))
+def test_raw_draw_with_a_vanishing_norm_raises_when_built(small_config, name, one_row):
+    one = one_row(small_config, RngStream(4, 0))
+    other = one_row(small_config, RngStream(4, 1))
     vectors = {f.name: getattr(one, f.name) for f in dataclasses.fields(one) if f.init}
     with pytest.raises(DegenerateDrawError):
         md.RawDraw(**vectors | {name: np.zeros_like(vectors[name])})
-    block = {key: np.array([v, getattr(other, key)]) for key, v in vectors.items()}
+    block = {key: np.concatenate([v, getattr(other, key)]) for key, v in vectors.items()}
     # Per-row norms of a block, each equal to that trial's own norm.
     assert [x.tolist() for x in md.RawDraw(**block).norms] == \
-        [list(pair) for pair in zip(one.norms, other.norms)]
+        [a.tolist() + b.tolist() for a, b in zip(one.norms, other.norms)]
     block[name][1] = 0
     with pytest.raises(DegenerateDrawError):
         md.RawDraw(**block)

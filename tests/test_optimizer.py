@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -23,15 +22,9 @@ def test_grid_members_and_certification():
         opt.FamilyGrid(rho_min=1.0, rho_max=0.5)
 
 
-def _one_row_block(draw):
-    """A block of one trial: each field of ``draw`` as a (1 x length) array."""
-    return md.RawDraw(**{f.name: getattr(draw, f.name)[None]
-                         for f in dataclasses.fields(draw) if f.init})
-
-
 def _pair_distances(draw, cfg, members, limits):
-    """Per member, the distance of the draw's scale pair (eta, alpha) from its limit."""
-    (alphas,), (etas,) = md.scale_pair(_one_row_block(draw), cfg, members, ONE_BIT)[:2]
+    """Per member, the distance of a one-row draw's scale pair (eta, alpha) from its limit."""
+    (alphas,), (etas,) = md.scale_pair(draw, cfg, members, ONE_BIT)[:2]
     return [math.hypot(eta - m.power_scale, alpha - m.input_scale)
             for alpha, eta, m in zip(alphas, etas, limits)]
 
@@ -50,32 +43,31 @@ def test_sigma_asymptotic_homogeneous_in_scale():
     assert scaled.input_scale == pytest.approx(2.0 * base.input_scale, rel=1e-10)
 
 
-def test_sigma_finite_constraint_identity():
-    draw = md.sample_raw_draw(CFG, RngStream(0, 0))
+def test_sigma_finite_constraint_identity(one_row):
+    draw = one_row(CFG, RngStream(0, 0))
     for f in (md.mf(), md.rzf(0.25)):
-        ((alpha,),), ((eta,),), *_ = md.scale_pair(_one_row_block(draw), CFG, [f], ONE_BIT)
+        ((alpha,),), ((eta,),), *_ = md.scale_pair(draw, CFG, [f], ONE_BIT)
         assert alpha > 0 and eta > 0
         from qprec.quantizer import quantize
-        qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, alpha * draw.z1)))
+        qn = np.linalg.norm(np.asarray(quantize(ONE_BIT, alpha * draw.z1[0])))
         assert eta**2 * qn**2 / CFG.n == pytest.approx(CFG.power_limit, abs=1e-10)
 
 
-def test_sigma_finite_positive_over_draws():
+def test_sigma_finite_positive_over_draws(one_row):
     for t in range(50):
-        draw = md.sample_raw_draw(CFG, RngStream(1, t))
-        ((alpha,),), ((eta,),), *_ = md.scale_pair(_one_row_block(draw), CFG,
-                                                   [md.rzf(0.25)], ONE_BIT)
+        draw = one_row(CFG, RngStream(1, t))
+        ((alpha,),), ((eta,),), *_ = md.scale_pair(draw, CFG, [md.rzf(0.25)], ONE_BIT)
         assert alpha > 0 and eta > 0
 
 
-def test_sigma_finite_converges_to_limit():
+def test_sigma_finite_converges_to_limit(one_row):
     devs = []
     for k in (64, 256):
         cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
         limit = md.asymptotic_model(cfg, md.rzf(0.25), ONE_BIT)
         gaps = []
         for t in range(60):
-            draw = md.sample_raw_draw(cfg, RngStream(2, 100 * k + t))
+            draw = one_row(cfg, RngStream(2, 100 * k + t))
             gaps += _pair_distances(draw, cfg, [md.rzf(0.25)], [limit])
         devs.append(np.mean(gaps))
     assert devs[1] < devs[0]
@@ -160,11 +152,11 @@ def test_feasibility_deviation_nonnegative_and_shrinking():
     assert vals[1] < vals[0]
 
 
-def test_family_restricted_hausdorff_below_deviation():
+def test_family_restricted_hausdorff_below_deviation(one_row):
     members = GRID.members()
     limits = [md.asymptotic_model(CFG, f, ONE_BIT) for f in members]
     for seed in range(5):
-        draw = md.sample_raw_draw(CFG, RngStream(8, seed))
+        draw = one_row(CFG, RngStream(8, seed))
         per_member = _pair_distances(draw, CFG, members, limits)
         # the feasible-slice Hausdorff surrogate is the max over members,
         # which the per-draw deviation dominates by construction
@@ -202,7 +194,7 @@ def test_growth_function_increasing_from_zero(growth):
         growth(-0.1)
 
 
-def test_solution_set_distance_bounded_by_growth(growth, asym):
+def test_solution_set_distance_bounded_by_growth(growth, asym, one_row):
     from qprec.bounds import sinr_sensitivity
 
     members = GRID.members()
@@ -213,7 +205,7 @@ def test_solution_set_distance_bounded_by_growth(growth, asym):
         dist = opt._member_distance(fin.best, asym.best, CFG,
                                     md.asymptotic_model(CFG, fin.best, ONE_BIT),
                                     md.asymptotic_model(CFG, asym.best, ONE_BIT))
-        draw = md.sample_raw_draw(CFG, RngStream(20, seed))
+        draw = one_row(CFG, RngStream(20, seed))
         dev = max(_pair_distances(draw, CFG, members, limits))
         coupled = md.functional_models(CFG, fin.best, ONE_BIT)
         samples = coupled.sample(RngStream(21, seed), 200)
