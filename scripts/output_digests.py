@@ -22,6 +22,12 @@ sampler there:
 
 The three tail cascades are hashed per quantizer and K (of the system their
 constants come from) at eps 0.5, evaluated at K = 10^3 and 10^6.
+
+Diffed against a tree whose ``sample_coupled`` has no ``users`` argument, the
+one shape change is in the ``sample_coupled`` lines: their per-user fields
+(s, y_hat, y_bar, y_mid, g2_user) are (trials, 1) here and (trials,) there,
+with the same bytes.  The ``sample_coupled users=K`` line stands where that
+tree prints ``simulate_equivalent``, on the same stream.
 """
 
 import argparse
@@ -85,8 +91,8 @@ def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, tri
         RngStream(seed, 1), trials)
     yield "sample_coupled", md.sample_coupled(cfg, quant, GRID.members(), RngStream(seed, 2),
                                               trials)
-    yield "simulate_equivalent", md.simulate_equivalent(cfg, SHAPING, quant,
-                                                        RngStream(seed, 3), trials)
+    yield "sample_coupled users=K", md.sample_coupled(cfg, quant, [SHAPING], RngStream(seed, 3),
+                                                      trials, users=cfg.k)
     yield "simulate_original", md.simulate_original(cfg, SHAPING, quant, RngStream(seed, 4),
                                                     ORIGINAL_TRIALS)
     yield "feasibility_deviation", opt.feasibility_deviation(cfg, quant, GRID,

@@ -284,8 +284,8 @@ def _suite_equivalence(cfg: ExperimentConfig):
         system = cfg.system(k)
         orig = mdl.simulate_original(system, cfg.shaping, cfg.quantizer,
                                      _stream(seed, "original", k), cfg.trials)
-        equiv = mdl.simulate_equivalent(system, cfg.shaping, cfg.quantizer,
-                                        _stream(seed, "equivalent", k), cfg.trials)
+        equiv = mdl.sample_coupled(system, cfg.quantizer, [cfg.shaping],
+                                   _stream(seed, "equivalent", k), cfg.trials, users=k)[0]
         ks = stats.ks_2samp(orig.y[:, 0].real, equiv.y_hat[:, 0].real).statistic
         return [Record(cfg.name, seed, k, "ks_real_part", float(ks),
                        bound=0.03, holds=bool(ks < 0.03))]

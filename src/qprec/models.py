@@ -296,19 +296,6 @@ def simulate_original(config: SystemConfig, shaping: ShapingFunction,
 
 
 @dataclass(frozen=True)
-class EquivalentBatch:
-    signal_gain: np.ndarray
-    interference_gain: np.ndarray
-    linear_gain: np.ndarray
-    distortion_rms: np.ndarray
-    input_scale: np.ndarray
-    power_scale: np.ndarray
-    transmit_power: np.ndarray
-    y_hat: np.ndarray   # trials x K
-    s: np.ndarray       # trials x K
-
-
-@dataclass(frozen=True)
 class RawDraw:
     """The randomness of a block of equivalent-model trials, one row per trial.
 
@@ -461,38 +448,6 @@ def evaluate(block: RawDraw, config: SystemConfig,
     return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1, c2=c2, t_s=t_s, t_g=t_g)
 
 
-def _collect(config: SystemConfig, quant: QuantizerSpec, shapings: Sequence[ShapingFunction],
-             rng: RngStream, trials: int, users: int
-             ) -> tuple[Evaluation, np.ndarray, np.ndarray, np.ndarray]:
-    """Every trial evaluated under every shaping, one chunk of draws at a time.
-
-    Returns the Evaluation with (members x trials) fields, row i belonging to
-    ``shapings[i]``, and the s, g2 and noise of each trial's first ``users``
-    users as (trials x users) arrays.
-    """
-    fields, (s, g2, noise) = {}, (np.empty((trials, users), dtype=complex) for _ in range(3))
-    for rows, block, block_noise in draw_chunks(config, rng, trials, len(shapings), users):
-        for name, x in vars(evaluate(block, config, shapings, quant)).items():
-            if name not in fields:
-                fields[name] = np.empty((len(shapings), trials), dtype=x.dtype)
-            fields[name][:, rows] = x.T
-        s[rows], g2[rows], noise[rows] = block.s[:, :users], block.g2[:, :users], block_noise
-    return Evaluation(**fields), s, g2, noise
-
-
-def simulate_equivalent(config: SystemConfig, shaping: ShapingFunction,
-                        quant: QuantizerSpec, rng: RngStream,
-                        trials: int) -> EquivalentBatch:
-    """Sample the statistically equivalent model (full received vectors)."""
-    ev, s, g2, noise = _collect(config, quant, [shaping], rng, trials, users=config.k)
-    alpha, eta, qnorm, c1, c2, t_s, t_g = (x[0] for x in vars(ev).values())
-    return EquivalentBatch(
-        signal_gain=t_s, interference_gain=t_g, linear_gain=c1, distortion_rms=c2,
-        input_scale=alpha, power_scale=eta,
-        transmit_power=eta * eta * (qnorm * qnorm) / config.n,
-        y_hat=eta[:, None] * (t_s[:, None] * s + t_g[:, None] * g2) + noise, s=s)
-
-
 def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStream,
                           trials: int) -> tuple[np.ndarray, np.ndarray]:
     """i.i.d. draws (y_bar, s) from the scalar asymptotic channel."""
@@ -514,6 +469,11 @@ def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStre
 class CoupledSamples:
     """Per-user samples of the finite and limiting models on shared draws.
 
+    The per-user fields ``s``, ``y_hat``, ``y_bar``, ``y_mid`` and ``g2_user``
+    are (trials x users) arrays, column j holding user j of each draw; the
+    per-draw fields ``signal_gain``, ``interference_gain``, ``input_scale`` and
+    ``power_scale`` are (trials,) arrays that a draw's users share.
+    ``CoupledModel.sample`` returns user 0's fields as (trials,) arrays.
     ``y_mid`` evaluates the scalar model at the *finite-draw* scale pair
     (power scale and input scale of that draw); it isolates the parameter
     error from the gain-concentration error in optimizer diagnostics.
@@ -545,35 +505,45 @@ class CoupledModel:
                            asymptotic_model(self.config, self.shaping, self.quant))
 
     def sample(self, rng: RngStream, trials: int) -> CoupledSamples:
-        """Samples of user 0; every user of a draw has the same law."""
-        return sample_coupled(self.config, self.quant, [self.shaping], rng, trials)[0]
+        """Samples of user 0 as (trials,) arrays; every user of a draw has the same law."""
+        out = sample_coupled(self.config, self.quant, [self.shaping], rng, trials)[0]
+        return CoupledSamples(**{name: x.reshape(trials) for name, x in vars(out).items()})
 
 
 def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
                    shapings: Sequence[ShapingFunction], rng: RngStream,
-                   trials: int) -> list[CoupledSamples]:
-    """Samples of user 0 under every shaping, all on the same draws.
+                   trials: int, users: int = 1) -> list[CoupledSamples]:
+    """Samples of the first ``users`` users under every shaping, all on the same draws.
 
-    Each trial draws one row of a RawDraw block and its noise, as
-    ``CoupledModel.sample`` does; a chunk of trials is evaluated under every
-    shaping as one block: common random numbers, one spectrum per trial, one
-    quantize call per chunk.  Each shaping's limit is its ``asymptotic_model``.
-    ``y_mid``'s moments come from one call over all trials' scales.
+    Each trial draws one row of a RawDraw block and then the noise of its
+    first ``users`` users, so ``users = K`` gives every user of each draw.  A
+    chunk of trials is evaluated under every shaping as one block: common
+    random numbers, one spectrum per trial, one quantize call per chunk.  Each
+    shaping's limit is its ``asymptotic_model``.  ``y_mid``'s moments come from
+    one call over all trials' scales.
     """
     if not shapings:
         raise ValueError("need at least one shaping")
+    if not 1 <= users <= config.k:
+        raise ValueError("users must be between 1 and K")
     scalars = [asymptotic_model(config, f, quant) for f in shapings]
-    ev, *user = _collect(config, quant, shapings, rng, trials, users=1)
-    s, g2, noise = (x[:, 0] for x in user)
-    alpha, eta, t_s, t_g = ev.alpha, ev.eta, ev.t_s, ev.t_g
-    y_hat = eta * (t_s * s + t_g * g2) + noise
+    alpha, eta, t_g = (np.empty((len(shapings), trials)) for _ in range(3))
+    t_s = np.empty((len(shapings), trials), dtype=complex)
+    s, g2, noise = (np.empty((trials, users), dtype=complex) for _ in range(3))
+    for rows, block, block_noise in draw_chunks(config, rng, trials, len(shapings), users):
+        ev = evaluate(block, config, shapings, quant)
+        alpha[:, rows], eta[:, rows], t_s[:, rows], t_g[:, rows] = (
+            ev.alpha.T, ev.eta.T, ev.t_s.T, ev.t_g.T)
+        s[rows], g2[rows], noise[rows] = block.s[:, :users], block.g2[:, :users], block_noise
+    # A draw's quantities as (members x trials x 1), broadcast over its users.
+    y_hat = eta[..., None] * (t_s[..., None] * s + t_g[..., None] * g2) + noise
     # Each limit quantity as a (members x 1) column, broadcast over the trials.
     moments = ShapedMoments(*np.array([astuple(m.moments) for m in scalars]).T[..., None])
     ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,
                                            gaussian_moments(quant, alpha))
-    y_mid = eta * (ts_mid * s + tg_mid * g2) + noise
+    y_mid = eta[..., None] * (ts_mid[..., None] * s + tg_mid[..., None] * g2) + noise
     power, ts_bar, tg_bar = np.array([[m.power_scale, m.signal_gain, m.interference_gain]
-                                      for m in scalars]).T[..., None]
+                                      for m in scalars]).T[..., None, None]
     y_bar = power * (ts_bar * s + tg_bar * g2) + noise
     return [CoupledSamples(s=s, y_hat=y_hat[i], y_bar=y_bar[i], y_mid=y_mid[i],
                            signal_gain=t_s[i], g2_user=g2, interference_gain=t_g[i],

@@ -117,6 +117,7 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
 
     Common random numbers: every member is evaluated on the same draws of
     one stream, so grid points see the same underlying channel/noise draws.
+    Each member's value is the plug-in SINR of user 0's samples.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -127,7 +128,7 @@ def solve_finite(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
     for f, samples in zip(members, sample_coupled(config, quant, members,
                                                   RngStream(seed, 0), trials)):
         try:
-            est = sinr_from_samples(samples.y_hat, samples.s, config.sigma2_sym)
+            est = sinr_from_samples(samples.y_hat[:, 0], samples.s[:, 0], config.sigma2_sym)
         except UnstableEstimateError:
             log.warning("skipping grid point %s: unstable SINR estimate", f.label)
             continue

@@ -135,16 +135,6 @@ def reflect(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def householder_reflector(v: np.ndarray) -> np.ndarray:
-    """Dense unitary R with R v = ||v|| e1 (first standard basis vector)."""
-    v = np.asarray(v, dtype=complex)
-    n = v.size
-    w, wnorm2, sigma = _householder_parts(v)
-    r = np.eye(n, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / wnorm2
-    r[0, :] *= -np.conj(sigma)
-    return r
-
-
 def complement_project(v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """B(v)^H x, where B(v) spans the orthogonal complement of v.
 
@@ -169,14 +159,3 @@ def complement_embed(v: np.ndarray, y: np.ndarray) -> np.ndarray:
     rows -= w
     return rows
 
-
-def complement_basis(v: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of {v}^perp as a dense n x (n-1) matrix.
-
-    Fixed to the trailing columns of R(v)^H so tests have one concrete basis;
-    any orthonormal complement yields the same model distributions.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.size < 2:
-        raise ValueError("complement requires dimension >= 2")
-    return householder_reflector(v).conj().T[:, 1:]

@@ -96,7 +96,7 @@ def test_criterion_01_bulk_spectrum_support():
 def test_criterion_02_statistical_equivalence():
     cfg = md.SystemConfig.with_gamma(k=8, gamma=4.0, sigma2_noise=NOISE)
     orig = md.simulate_original(cfg, RZF, ONE_BIT, RngStream(101, 0), 10_000)
-    equiv = md.simulate_equivalent(cfg, RZF, ONE_BIT, RngStream(202, 0), 10_000)
+    equiv = md.sample_coupled(cfg, ONE_BIT, [RZF], RngStream(202, 0), 10_000, users=cfg.k)[0]
     ks = stats.ks_2samp(orig.y[:, 0].real, equiv.y_hat[:, 0].real).statistic
     _report(2, "KS distance between matched real-part marginals < 0.03",
             ks < 0.03, f"ks = {ks:.4f}")

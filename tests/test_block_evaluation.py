@@ -168,18 +168,20 @@ def _evaluate(draw, config, shaping, quant):
                 c1=c1, c2=c2, t_s=t_s, t_g=t_g)
 
 
-def _sample_coupled(models, rng, trials):
+def _sample_coupled(models, rng, trials, users=1):
+    """The first ``users`` users of each trial; ``users = K`` is the whole K-user model."""
     config = models[0].config
-    outs = [{name: np.empty(trials, dtype=complex)
-             for name in ("s", "y_bar", "y_mid", "signal_gain", "g2_user")}
+    outs = [{name: np.empty((trials, users), dtype=complex)
+             for name in ("s", "y_bar", "y_mid", "g2_user")}
+            | {"signal_gain": np.empty(trials, dtype=complex)}
             | {name: np.empty(trials)
                for name in ("interference_gain", "input_scale", "power_scale")}
             for _ in models]
-    noise = np.empty(trials, dtype=complex)
+    noise = np.empty((trials, users), dtype=complex)
     for t in range(trials):
         draw = _raw_draw(config, rng)
-        noise[t] = _noise(1, config.sigma2_noise, rng)[0]
-        s_k, g2_k, n_k = draw.s[0], draw.g2[0], noise[t]
+        noise[t] = _noise(users, config.sigma2_noise, rng)
+        s_k, g2_k, n_k = draw.s[:users], draw.g2[:users], noise[t]
         for m, out in zip(models, outs):
             ev = _evaluate(draw, config, m.shaping, m.quant)
             model = m.scalar
@@ -195,9 +197,21 @@ def _sample_coupled(models, rng, trials):
             out["input_scale"][t] = ev["alpha"]
             out["power_scale"][t] = ev["eta"]
     for out in outs:
-        out["y_hat"] = out["power_scale"] * (out["signal_gain"] * out["s"]
-                                             + out["interference_gain"] * out["g2_user"]) + noise
+        eta, t_s, t_g = (out[name][:, None]
+                         for name in ("power_scale", "signal_gain", "interference_gain"))
+        out["y_hat"] = eta * (t_s * out["s"] + t_g * out["g2_user"]) + noise
     return [md.CoupledSamples(**out) for out in outs]
+
+
+def _evaluations(config, shaping, quant, rng, trials, users):
+    """Each trial's gains (alpha, eta, qnorm, c1, c2, t_s, t_g), reading each
+    trial's noise as the samplers do."""
+    out = []
+    for _ in range(trials):
+        draw = _raw_draw(config, rng)
+        _noise(users, config.sigma2_noise, rng)
+        out.append(_evaluate(draw, config, shaping, quant))
+    return out
 
 
 def _feasibility_deviation(config, quant, grid, rng, trials):
@@ -213,28 +227,6 @@ def _feasibility_deviation(config, quant, grid, rng, trials):
             worst = max(worst, math.hypot(eta - limit.power_scale, alpha - limit.input_scale))
         total += worst
     return total / trials
-
-
-def _simulate_equivalent(config, shaping, quant, rng, trials):
-    fields = {"signal_gain": complex, "interference_gain": float, "linear_gain": complex,
-              "distortion_rms": float, "input_scale": float, "power_scale": float,
-              "transmit_power": float}
-    out = {name: np.empty(trials, dtype=dtype) for name, dtype in fields.items()}
-    out |= {name: np.empty((trials, config.k), dtype=complex) for name in ("y_hat", "s")}
-    for t in range(trials):
-        draw = _raw_draw(config, rng)
-        noise = _noise(config.k, config.sigma2_noise, rng)
-        ev = _evaluate(draw, config, shaping, quant)
-        out["signal_gain"][t] = ev["t_s"]
-        out["interference_gain"][t] = ev["t_g"]
-        out["linear_gain"][t] = ev["c1"]
-        out["distortion_rms"][t] = ev["c2"]
-        out["input_scale"][t] = ev["alpha"]
-        out["power_scale"][t] = ev["eta"]
-        out["transmit_power"][t] = ev["eta"] * ev["eta"] * (ev["qnorm"] * ev["qnorm"]) / config.n
-        out["y_hat"][t] = ev["eta"] * (ev["t_s"] * draw.s + ev["t_g"] * draw.g2) + noise
-        out["s"][t] = draw.s
-    return md.EquivalentBatch(**out)
 
 
 # -- block against reference ----------------------------------------------------
@@ -283,9 +275,18 @@ def test_chunk_boundaries_match_the_reference(name, k):
     trials = _across_chunks(cfg, 1)
     _assert_same_samples([coupled[5].sample(RngStream(k, 5), trials)],
                          _sample_coupled([coupled[5]], RngStream(k, 5), trials))
-    block = md.simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
-    reference = _simulate_equivalent(cfg, members[5], quant, RngStream(k, 6), trials)
-    _assert_same_batch(block, reference, md.EquivalentBatch)
+    rng, ref = RngStream(k, 6), RngStream(k, 6)
+    _assert_same_samples(md.sample_coupled(cfg, quant, [members[5]], rng, trials, users=k),
+                         _sample_coupled([coupled[5]], ref, trials, users=k))
+    assert _state(rng) == _state(ref)
+    # The gains sample_coupled does not return, on the same K-user draws.
+    chunks = md.draw_chunks(cfg, RngStream(k, 6), trials, 1, users=k)
+    block = [md.evaluate(draw, cfg, [members[5]], quant) for _, draw, _ in chunks]
+    reference = _evaluations(cfg, members[5], quant, RngStream(k, 6), trials, users=k)
+    for f in dataclasses.fields(md.Evaluation):
+        x = np.concatenate([getattr(ev, f.name)[:, 0] for ev in block])
+        y = np.array([ev[f.name] for ev in reference])
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
     trials = _across_chunks(cfg, len(members))
     block = opt.feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
     reference = _feasibility_deviation(cfg, quant, GRID, RngStream(k, 7), trials)
@@ -372,9 +373,10 @@ def test_noiseless_configs_read_no_noise():
     assert _state(rng) == _state(ref)
     trials = _across_chunks(cfg, 1)
     rng, ref = RngStream(k, 14), RngStream(k, 14)
-    _assert_same_batch(md.simulate_equivalent(cfg, md.rzf(0.25), qt.one_bit(), rng, trials),
-                       _simulate_equivalent(cfg, md.rzf(0.25), qt.one_bit(), ref, trials),
-                       md.EquivalentBatch)
+    coupled = md.functional_models(cfg, md.rzf(0.25), qt.one_bit())
+    _assert_same_samples(md.sample_coupled(cfg, qt.one_bit(), [md.rzf(0.25)], rng, trials,
+                                           users=k),
+                         _sample_coupled([coupled], ref, trials, users=k))
     assert _state(rng) == _state(ref)
 
 

@@ -131,8 +131,8 @@ def test_zero_noise_zf_identity_channel():
 def test_statistical_equivalence_marginal(one_bit_q, rzf_shaping, small_config):
     orig = md.simulate_original(small_config, rzf_shaping, one_bit_q,
                                 RngStream(10, 0), 4000)
-    equiv = md.simulate_equivalent(small_config, rzf_shaping, one_bit_q,
-                                   RngStream(11, 0), 4000)
+    equiv = md.sample_coupled(small_config, one_bit_q, [rzf_shaping], RngStream(11, 0), 4000,
+                              users=small_config.k)[0]
     ks = stats.ks_2samp(orig.y[:, 0].real, equiv.y_hat[:, 0].real).statistic
     assert ks < 0.05
 
@@ -142,7 +142,8 @@ def test_equivalent_received_power_matches_original(one_bit_q, rzf_shaping):
     # to 3.01 against the original model's 2.75 here.
     cfg = md.SystemConfig.with_gamma(k=4, gamma=4.0)
     orig = md.simulate_original(cfg, rzf_shaping, one_bit_q, RngStream(1, 0), 5000).y
-    equiv = md.simulate_equivalent(cfg, rzf_shaping, one_bit_q, RngStream(2, 0), 5000).y_hat
+    equiv = md.sample_coupled(cfg, one_bit_q, [rzf_shaping], RngStream(2, 0), 5000,
+                              users=cfg.k)[0].y_hat
     # per-trial means: the K users of one draw are not independent
     power = [np.mean(np.abs(y) ** 2, axis=1) for y in (orig, equiv)]
     se = math.hypot(*(np.std(p, ddof=1) / math.sqrt(p.size) for p in power))
@@ -153,20 +154,26 @@ def test_equivalent_received_power_matches_original(one_bit_q, rzf_shaping):
 
 
 def test_equivalent_gains_properties(one_bit_q, rzf_shaping, small_config):
-    batch = md.simulate_equivalent(small_config, rzf_shaping, one_bit_q,
-                                   RngStream(3, 0), 500)
+    k = small_config.k
+    batch = md.sample_coupled(small_config, one_bit_q, [rzf_shaping], RngStream(3, 0), 500,
+                              users=k)[0]
     assert np.all(batch.interference_gain >= 0)
-    assert np.all(batch.distortion_rms >= 0)
     assert np.all(batch.input_scale > 0)
-    assert np.all(np.abs(batch.transmit_power - small_config.power_limit) < 1e-10)
-    assert batch.y_hat.shape == (500, small_config.k)
-    assert batch.s.shape == (500, small_config.k)
+    assert batch.y_hat.shape == (500, k)
+    assert batch.s.shape == (500, k)
+    # The distortion rms and the transmit power of the same draws, read off their blocks.
+    for _, block, _ in md.draw_chunks(small_config, RngStream(3, 0), 500, 1, users=k):
+        ev = md.evaluate(block, small_config, [rzf_shaping], one_bit_q)
+        assert np.all(ev.c2 >= 0)
+        power = ev.eta * ev.eta * (ev.qnorm * ev.qnorm) / small_config.n
+        assert np.all(np.abs(power - small_config.power_limit) < 1e-10)
 
 
 def test_gain_concentration_toward_limits(one_bit_q, rzf_shaping):
     cfg = md.SystemConfig.with_gamma(k=256, gamma=4.0)
     model = md.asymptotic_model(cfg, rzf_shaping, one_bit_q)
-    batch = md.simulate_equivalent(cfg, rzf_shaping, one_bit_q, RngStream(4, 0), 300)
+    batch = md.sample_coupled(cfg, one_bit_q, [rzf_shaping], RngStream(4, 0), 300,
+                              users=cfg.k)[0]
     ts_mean = np.mean(batch.signal_gain.real)
     ts_se = np.std(batch.signal_gain.real, ddof=1) / math.sqrt(300)
     assert abs(ts_mean - model.signal_gain) < 3 * ts_se
@@ -176,8 +183,8 @@ def test_input_scale_std_shrinks(one_bit_q, rzf_shaping):
     stds = []
     for k in (64, 256):
         cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0)
-        batch = md.simulate_equivalent(cfg, rzf_shaping, one_bit_q,
-                                       RngStream(5, k), 250)
+        batch = md.sample_coupled(cfg, one_bit_q, [rzf_shaping], RngStream(5, k), 250,
+                                  users=k)[0]
         stds.append(np.std(batch.input_scale, ddof=1))
     assert stds[1] < stds[0]
 
@@ -297,3 +304,27 @@ def test_raw_draw_with_a_vanishing_norm_raises_when_built(small_config, name, on
 def test_coupled_sampler_rejects_an_empty_list(small_config, one_bit_q):
     with pytest.raises(ValueError):
         md.sample_coupled(small_config, one_bit_q, [], RngStream(1, 0), 5)
+
+
+@pytest.mark.parametrize("users", [-1, 0, 9])
+def test_coupled_sampler_rejects_users_outside_one_to_k(small_config, one_bit_q, users):
+    assert small_config.k == 8  # so 9 is K + 1
+    rng = RngStream(1, 0)
+    state = repr(rng.generator.bit_generator.state)
+    with pytest.raises(ValueError):
+        md.sample_coupled(small_config, one_bit_q, [md.mf()], rng, 5, users=users)
+    assert repr(rng.generator.bit_generator.state) == state  # raised before any draw
+
+
+def test_coupled_sampler_takes_one_and_k_users(small_config, one_bit_q):
+    """Both ends of 1 <= users <= K: per-user fields are (trials x users), gains (trials,)."""
+    k = small_config.k
+    for users in (1, k):
+        out, = md.sample_coupled(small_config, one_bit_q, [md.mf()], RngStream(1, 0), 5,
+                                 users=users)
+        for name in ("s", "y_hat", "y_bar", "y_mid", "g2_user"):
+            assert getattr(out, name).shape == (5, users), name
+        for name in ("signal_gain", "interference_gain", "input_scale", "power_scale"):
+            assert getattr(out, name).shape == (5,), name
+    one_user = md.functional_models(small_config, md.mf(), one_bit_q).sample(RngStream(1, 0), 5)
+    assert all(x.shape == (5,) for x in vars(one_user).values())

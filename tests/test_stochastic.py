@@ -63,10 +63,30 @@ def test_variance_must_be_finite():
 # -- Householder ------------------------------------------------------------
 
 
+def householder_reflector(v: np.ndarray) -> np.ndarray:
+    """Dense unitary R with R v = ||v|| e1 (first standard basis vector): the
+    reference for the matrix-free reflect, complement_project and complement_embed."""
+    v = np.asarray(v, dtype=complex)
+    n = v.size
+    w, wnorm2, sigma = sto._householder_parts(v)
+    r = np.eye(n, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / wnorm2
+    r[0, :] *= -np.conj(sigma)
+    return r
+
+
+def complement_basis(v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of {v}^perp as a dense n x (n-1) matrix: the trailing
+    columns of R(v)^H."""
+    v = np.asarray(v, dtype=complex)
+    if v.size < 2:
+        raise ValueError("complement requires dimension >= 2")
+    return householder_reflector(v).conj().T[:, 1:]
+
+
 def test_reflector_of_basis_vector_is_identity():
     e1 = np.zeros(4, dtype=complex)
     e1[0] = 1.0
-    r = sto.householder_reflector(e1)
+    r = householder_reflector(e1)
     assert np.allclose(r, np.eye(4), atol=1e-12)
 
 
@@ -74,7 +94,7 @@ def test_reflector_of_basis_vector_is_identity():
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=24))
 def test_reflector_contracts(seed, n):
     v = _random_vector(seed, n)
-    r = sto.householder_reflector(v)
+    r = householder_reflector(v)
     target = np.zeros(n, dtype=complex)
     target[0] = np.linalg.norm(v)
     assert np.linalg.norm(r @ v - target) < 1e-10
@@ -85,7 +105,7 @@ def test_reflector_contracts(seed, n):
 @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=2, max_value=24))
 def test_complement_contracts(seed, n):
     v = _random_vector(seed, n)
-    b = sto.complement_basis(v)
+    b = complement_basis(v)
     assert b.shape == (n, n - 1)
     assert np.linalg.norm(b.conj().T @ v) < 1e-10
     assert np.linalg.norm(b.conj().T @ b - np.eye(n - 1)) < 1e-10
@@ -94,7 +114,7 @@ def test_complement_contracts(seed, n):
 def test_complement_of_e1_is_trailing_basis():
     e1 = np.zeros(3, dtype=complex)
     e1[0] = 1.0
-    b = sto.complement_basis(e1)
+    b = complement_basis(e1)
     # columns span {e2, e3} up to phase
     assert abs(b[0, 0]) < 1e-12 and abs(b[0, 1]) < 1e-12
     assert np.allclose(np.abs(b[1:, :]), np.eye(2), atol=1e-12)
@@ -106,8 +126,8 @@ def test_complement_of_e1_is_trailing_basis():
 def test_matrix_free_applications_match_dense(seed, n, rows):
     v = _random_vector(seed, n)
     x = _random_vector(seed + 1, n)
-    r = sto.householder_reflector(v)
-    b = sto.complement_basis(v)
+    r = householder_reflector(v)
+    b = complement_basis(v)
     assert np.allclose(sto.reflect(v, x), r @ x, atol=1e-12)
     assert np.allclose(sto.complement_project(v, x), b.conj().T @ x, atol=1e-12)
     assert np.allclose(sto.complement_embed(v[None], x[1:])[0], b @ x[1:], atol=1e-12)
@@ -117,19 +137,19 @@ def test_matrix_free_applications_match_dense(seed, n, rows):
     embedded = sto.complement_embed(block, x[1:])
     projected = sto.complement_project(v, block)
     for i, row in enumerate(block):
-        b_i = sto.complement_basis(row)
+        b_i = complement_basis(row)
         assert np.allclose(embedded[i], b_i @ x[1:], atol=1e-12)
         assert np.allclose(projected[i], b.conj().T @ row, atol=1e-12)
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ValueError):
-        sto.householder_reflector(np.zeros(3, dtype=complex))
+        householder_reflector(np.zeros(3, dtype=complex))
 
 
 def test_dimension_one_has_no_complement():
     with pytest.raises(ValueError):
-        sto.complement_basis(np.ones(1, dtype=complex))
+        complement_basis(np.ones(1, dtype=complex))
 
 
 # -- constellation sampling --------------------------------------------------
