@@ -23,11 +23,16 @@ sampler there:
 The three tail cascades are hashed per quantizer and K (of the system their
 constants come from) at eps 0.5, evaluated at K = 10^3 and 10^6.
 
-Diffed against a tree whose ``sample_coupled`` has no ``users`` argument, the
-one shape change is in the ``sample_coupled`` lines: their per-user fields
-(s, y_hat, y_bar, y_mid, g2_user) are (trials, 1) here and (trials,) there,
-with the same bytes.  The ``sample_coupled users=K`` line stands where that
-tree prints ``simulate_equivalent``, on the same stream.
+The Lipschitz envelopes are hashed once per quantizer (``k=- seed=-``):
+``lower``, ``upper`` and ``component_value`` of both components at tau 0.1,
+on the 101 x 101 grid over [-3, 3]^2 and at one scalar point, and
+``envelope_gap_expectation`` and ``envelope_product_gap`` of the real
+component at tau 0.1 and alpha_bar 1.  They add about 3.5 s a run, nearly
+all of it phase_ce(8)'s two expectations on the dense polar grid.
+
+Diffed against a tree whose ``ShapingFunction`` has a ``scale`` field, the
+``solve_asymptotic`` and ``solve_finite`` lines differ, because their
+``best`` member is hashed field by field; every other line is the same.
 """
 
 import argparse
@@ -51,6 +56,7 @@ SHAPING = md.rzf(0.25)
 ORIGINAL_TRIALS = 2
 TAIL_EPS = 0.5
 TAIL_KS = (10**3, 10**6)
+ENVELOPE_TAU = 0.1
 
 
 def _feed(h, obj) -> None:
@@ -114,6 +120,20 @@ def tail_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec):
                                 for k in TAIL_KS]
 
 
+def envelope_outputs(quant: qt.QuantizerSpec):
+    """(name, output) of the envelopes of both components and their two expectations."""
+    grid = np.linspace(-3, 3, 101)
+    points = (grid[:, None] + 1j * grid[None, :], 0.05 + 0.7j)
+    values = []
+    for component in ("real", "imag"):
+        env = qt.Envelope(quant, component, ENVELOPE_TAU)
+        values += [f(x) for x in points for f in (env.lower, env.upper, env.component_value)]
+    yield "Envelope", values
+    yield "envelope_gap_expectation", qt.envelope_gap_expectation(quant, "real", ENVELOPE_TAU,
+                                                                  1.0)
+    yield "envelope_product_gap", qt.envelope_product_gap(quant, "real", ENVELOPE_TAU, 1.0)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -123,6 +143,8 @@ def main() -> None:
     args = parser.parse_args()
 
     for name, quant in QUANTS.items():
+        for output, value in envelope_outputs(quant):
+            print(f"{name} k=- seed=- {output} {digest(value)}", flush=True)
         for k in args.k:
             cfg = md.SystemConfig.with_gamma(k=k, gamma=4.0, sigma2_noise=0.1)
             print(f"{name} k={k} seed=- solve_asymptotic "

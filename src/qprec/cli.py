@@ -145,8 +145,9 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         eps = cp.getfloat("experiment", "eps", fallback=0.5)
     except ValueError as exc:
         raise ConfigError(f"bad numeric field: {exc}") from exc
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ConfigError("field 'seeds' must list at least one seed, each once")
+    # RngStream reads a seed modulo 2**64, so a seed outside [0, 2**64) would alias another.
+    if not seeds or len(set(seeds)) != len(seeds) or not all(0 <= s < 2**64 for s in seeds):
+        raise ConfigError("field 'seeds' must list at least one seed in [0, 2**64), each once")
     # The suites that estimate from samples (an SINR, a SEP gap, a KS distance)
     # need two trials per cell.
     min_trials = 2 if name in ("converge-sinr", "converge-sep", "bounds-audit", "optimize",
@@ -387,7 +388,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     mark = _lap(records, mark)
 
     # Envelope sandwich on a grid.
-    env = qnt.envelope(cfg.quantizer, "real", tau=0.1)
+    env = qnt.Envelope(cfg.quantizer, "real", 0.1)
     grid = np.linspace(-3, 3, 101)
     zz = grid[:, None] + 1j * grid[None, :]
     lo_v = env.lower(zz)

@@ -104,15 +104,12 @@ class ShapingFunction:
 
     family: str
     rho: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.family not in ("mf", "zf", "rzf"):
             raise ValueError("family must be one of 'mf', 'zf', 'rzf'")
         if self.family == "rzf" and not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rzf requires a finite rho > 0")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ValueError("scale must be finite and positive")
 
     def __call__(self, d: np.ndarray | float) -> np.ndarray | float:
         d = np.asarray(d, dtype=float)
@@ -122,13 +119,11 @@ class ShapingFunction:
             out = 1.0 / d
         else:
             out = d / (d * d + self.rho)
-        out = self.scale * out
         return out if out.ndim else float(out)
 
     @property
     def label(self) -> str:
-        base = self.family if self.family != "rzf" else f"rzf({self.rho:g})"
-        return base if self.scale == 1.0 else f"{self.scale:g}*{base}"
+        return self.family if self.family != "rzf" else f"rzf({self.rho:g})"
 
 
 def mf() -> ShapingFunction:

@@ -75,8 +75,7 @@ class QuantizerSpec:
     @property
     def squared_band_constant(self) -> float:
         """Same constant for |q|^2, whose jumps lie on both components' sets."""
-        return (2.0 / _SQRT_PI) * (2 * self.line_count) \
-            + (1.0 + 1.0 / _SQRT_PI) * (2 * self.ray_count)
+        return 2.0 * self.band_constant
 
     # -- scalar rail structure (separable kinds) ----------------------------
 
@@ -90,6 +89,9 @@ class QuantizerSpec:
     def _phase_points(self) -> np.ndarray:
         """phase_ce: the output at each sector index m in [-phases, phases], read-only."""
         m = np.arange(-self.phases, self.phases + 1, dtype=float)
+        # An odd phase count has a boundary at angle pi, where an index can pass
+        # phases/2; one point per sector, at |m| <= phases/2, keeps q(q(z)) = q(z).
+        m = np.where(np.abs(m) > self.phases / 2, m - np.copysign(self.phases, m), m)
         points = self.radius * np.exp(1j * (2.0 * np.pi / self.phases) * m)
         points.setflags(write=False)
         return points
@@ -105,11 +107,6 @@ class QuantizerSpec:
         for rail in rails:
             rail.setflags(write=False)
         return rails
-
-
-def _check_component(component: str) -> None:
-    if component not in ("real", "imag"):
-        raise ValueError("component must be 'real' or 'imag'")
 
 
 def one_bit(amplitude: float = 1.0 / np.sqrt(2.0)) -> QuantizerSpec:
@@ -156,8 +153,9 @@ def _phase_sector(spec: QuantizerSpec, z: np.ndarray) -> np.ndarray:
         lo, hi = mb - 1.0, mb
         c_lo = np.exp(1j * width * lo)
         c_hi = np.exp(1j * width * hi)
-        lo_wins = (c_lo.real < c_hi.real) | (
-            np.isclose(c_lo.real, c_hi.real) & (c_lo.imag < c_hi.imag))
+        # Real parts that differ by rounding alone belong to mirrored centers: Im decides.
+        lo_wins = np.where(np.isclose(c_lo.real, c_hi.real), c_lo.imag < c_hi.imag,
+                           c_lo.real < c_hi.real)
         m[on_boundary] = np.where(lo_wins, lo, hi)
     return m
 
@@ -283,68 +281,46 @@ class Envelope:
     component: str
     tau: float
 
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def __post_init__(self) -> None:
+        if self.component not in ("real", "imag"):
+            raise ValueError("component must be 'real' or 'imag'")
+        if not (np.isfinite(self.tau) and self.tau > 0):
+            raise ValueError("tau must be finite and positive")
+
+    def _cells(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(the component's value on each cell, each point's distance to each cell)."""
         spec = self.spec
-        thr = spec.rail_thresholds()
-        vals = spec.rail_values()
+        if spec.kind == "phase_ce":
+            width = 2.0 * np.pi / spec.phases
+            centers = width * np.arange(spec.phases)
+            values = spec.radius * (np.cos(centers) if self.component == "real"
+                                    else np.sin(centers))
+            delta = np.abs((np.angle(x)[..., None] - centers + np.pi) % (2.0 * np.pi) - np.pi)
+            gap = np.maximum(delta - width / 2.0, 0.0)
+            r = np.abs(x)[..., None]
+            return values, np.where(gap >= np.pi / 2.0, r, r * np.sin(gap))
+        thr, values = spec._rails
         lo = np.concatenate([[-np.inf], thr])
         hi = np.concatenate([thr, [np.inf]])
-        return lo, hi, vals
+        u = (x.real if self.component == "real" else x.imag)[..., None]
+        return values, np.maximum(np.maximum(lo - u, u - hi), 0.0)
 
-    def _rail_coordinate(self, x: np.ndarray) -> np.ndarray:
-        return x.real if self.component == "real" else x.imag
-
-    def _distances_separable(self, x: np.ndarray) -> np.ndarray:
-        lo, hi, _ = self._cells()
-        u = self._rail_coordinate(x)[..., None]
-        return np.maximum(np.maximum(lo - u, u - hi), 0.0)
-
-    def _sector_values(self) -> np.ndarray:
-        spec = self.spec
-        centers = 2.0 * np.pi * np.arange(spec.phases) / spec.phases
-        comp = np.cos(centers) if self.component == "real" else np.sin(centers)
-        return spec.radius * comp
-
-    def _distances_phase(self, x: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        width = 2.0 * np.pi / spec.phases
-        centers = width * np.arange(spec.phases)
-        ang = np.angle(x)[..., None]
-        delta = np.abs((ang - centers + np.pi) % (2.0 * np.pi) - np.pi)
-        gap = np.maximum(delta - width / 2.0, 0.0)
-        r = np.abs(x)[..., None]
-        return np.where(gap >= np.pi / 2.0, r, r * np.sin(gap))
-
-    def _eval(self, x: np.ndarray | complex, which: str) -> np.ndarray | float:
-        arr = np.atleast_1d(np.asarray(x, dtype=complex))
-        if self.spec.kind == "phase_ce":
-            vals = self._sector_values()
-            dist = self._distances_phase(arr)
-        else:
-            _, _, vals = self._cells()
-            dist = self._distances_separable(arr)
-        if which == "lower":
-            out = np.min(vals + dist / self.tau, axis=-1)
-        else:
-            out = np.max(vals - dist / self.tau, axis=-1)
+    def _extremum(self, x: np.ndarray | complex, reduce, sign: float) -> np.ndarray | float:
+        values, dist = self._cells(np.atleast_1d(np.asarray(x, dtype=complex)))
+        out = reduce(values + sign * dist / self.tau, axis=-1)
         return out if np.ndim(x) else float(out[0])
 
     def lower(self, x: np.ndarray | complex) -> np.ndarray | float:
-        return self._eval(x, "lower")
+        """min over cells of value + distance / tau."""
+        return self._extremum(x, np.min, 1.0)
 
     def upper(self, x: np.ndarray | complex) -> np.ndarray | float:
-        return self._eval(x, "upper")
+        """max over cells of value - distance / tau."""
+        return self._extremum(x, np.max, -1.0)
 
     def component_value(self, x: np.ndarray | complex) -> np.ndarray | float:
         q = quantize(self.spec, x)
         return np.real(q) if self.component == "real" else np.imag(q)
-
-
-def envelope(spec: QuantizerSpec, component: str, tau: float) -> Envelope:
-    _check_component(component)
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValueError("tau must be positive")
-    return Envelope(spec=spec, component=component, tau=tau)
 
 
 def _gauss_expect_1d(fn, breaks) -> float:
@@ -397,9 +373,20 @@ def _band_breaks(spec: QuantizerSpec, tau: float, alpha_bar: float) -> np.ndarra
     return (thr[:, None] + widths[None, :]).ravel()
 
 
-def _check_scales(tau: float, alpha_bar: float) -> None:
-    if not (np.isfinite(tau) and np.isfinite(alpha_bar) and 0 < tau <= alpha_bar):
+def _envelope_expectation(env: Envelope, alpha_bar: float, integrand) -> float:
+    """E integrand(Z) for Z ~ CN(0, 1), integrand vectorized over complex arrays.
+
+    For a separable kind the envelope integrands depend on Z only through
+    the component's rail, so they are integrated along that axis alone.
+    """
+    if not (np.isfinite(alpha_bar) and env.tau <= alpha_bar):
         raise ValueError("requires finite 0 < tau <= alpha_bar")
+    if env.spec.kind == "phase_ce":
+        return _gauss_expect_complex(integrand)
+
+    def along_axis(u: np.ndarray) -> np.ndarray:
+        return integrand(u + 0j if env.component == "real" else 1j * u)
+    return _gauss_expect_1d(along_axis, _band_breaks(env.spec, env.tau, alpha_bar))
 
 
 def envelope_gap_expectation(spec: QuantizerSpec, component: str, tau: float,
@@ -408,16 +395,9 @@ def envelope_gap_expectation(spec: QuantizerSpec, component: str, tau: float,
 
     Requires 0 < tau <= alpha_bar, the regime the linear-in-tau bound covers.
     """
-    _check_scales(tau, alpha_bar)
-    env = envelope(spec, component, tau)
-    if spec.kind == "phase_ce":
-        value = _gauss_expect_complex(
-            lambda z: np.abs(env.upper(alpha_bar * z) - env.lower(alpha_bar * z)))
-    else:
-        def gap(u: np.ndarray) -> np.ndarray:
-            x = u + 0j if component == "real" else 1j * u
-            return np.abs(env.upper(alpha_bar * x) - env.lower(alpha_bar * x))
-        value = _gauss_expect_1d(gap, _band_breaks(spec, tau, alpha_bar))
+    env = Envelope(spec, component, tau)
+    value = _envelope_expectation(
+        env, alpha_bar, lambda z: np.abs(env.upper(alpha_bar * z) - env.lower(alpha_bar * z)))
     bound = (2.0 * spec.m0 / alpha_bar) * spec.band_constant * tau
     return value, bound
 
@@ -431,8 +411,7 @@ def envelope_product_gap(spec: QuantizerSpec, component: str, tau: float,
     the positive part and the upper envelope on the negative part.  The
     proven bound is sqrt(2) m0 sqrt(band_constant / alpha_bar) * sqrt(tau).
     """
-    _check_scales(tau, alpha_bar)
-    env = envelope(spec, component, tau)
+    env = Envelope(spec, component, tau)
 
     def diff(z: np.ndarray) -> np.ndarray:
         coord = np.real(z) if component == "real" else np.imag(z)
@@ -442,13 +421,7 @@ def envelope_product_gap(spec: QuantizerSpec, component: str, tau: float,
         l_term = np.maximum(coord, 0.0) * low + np.minimum(coord, 0.0) * up
         return l_term - coord * f
 
-    if spec.kind == "phase_ce":
-        gap = abs(_gauss_expect_complex(diff))
-    else:
-        def diff1d(u: np.ndarray) -> np.ndarray:
-            z = u + 0j if component == "real" else 1j * u
-            return diff(z)
-        gap = abs(_gauss_expect_1d(diff1d, _band_breaks(spec, tau, alpha_bar)))
+    gap = abs(_envelope_expectation(env, alpha_bar, diff))
     bound = np.sqrt(2.0) * spec.m0 * np.sqrt(spec.band_constant / alpha_bar) \
         * np.sqrt(tau)
     return gap, bound

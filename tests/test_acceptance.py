@@ -269,7 +269,7 @@ def test_criterion_10_quantizer_moments_and_envelopes():
     q = np.asarray(qt.quantize(ONE_BIT, 0.77 * z))
     mc_ok = abs(np.mean(np.conj(z) * q) - gm.ezq) < 3e-3
 
-    env = qt.envelope(ONE_BIT, "real", 0.1)
+    env = qt.Envelope(ONE_BIT, "real", 0.1)
     grid = np.linspace(-3, 3, 101)
     zz = grid[:, None] + 1j * grid[None, :]
     lo, hi, mid = env.lower(zz), env.upper(zz), env.component_value(zz)

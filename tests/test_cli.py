@@ -75,6 +75,8 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     ("[grid]", lambda text: text + "[grid]\npoints = 1\n"),
     ("'k_ladder'", lambda text: text.replace("k_ladder = 16 32", "k_ladder =")),
     ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = 1 1")),
+    ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = -1 2")),
+    ("'seeds'", lambda text: text.replace("seeds = 1 2", "seeds = 1 18446744073709551616")),
     ("gamma must be finite", lambda text: text.replace("gamma = 4.0", "gamma = inf")),
     ("power limit must be finite", lambda text: text.replace("gamma = 4.0",
                                                              "gamma = 4.0\npower_limit = nan")),
@@ -86,8 +88,8 @@ def test_unsorted_ladder_rejected(tmp_path, capsys):
     ("step", lambda text: text.replace("kind = one_bit",
                                        "kind = uniform_iq\nlevels = 4\nstep = nan")),
 ], ids=["trials", "k_ladder", "gamma", "eps", "eps_inf", "grid", "empty_k_ladder", "repeated_seed",
-        "gamma_inf", "power_limit_nan", "rho_nan", "rho_min_nan", "amplitude_nan",
-        "radius_nan", "step_nan"])
+        "negative_seed", "seed_2_64", "gamma_inf", "power_limit_nan", "rho_nan", "rho_min_nan",
+        "amplitude_nan", "radius_nan", "step_nan"])
 def test_out_of_range_field_is_config_error(tmp_path, capsys, field, edit):
     path = _write_config(tmp_path, "mp-check")
     path.write_text(edit(path.read_text()))

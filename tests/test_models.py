@@ -32,8 +32,6 @@ def test_config_validation():
     lambda: md.SystemConfig.with_gamma(k=8, gamma=math.inf),
     lambda: md.ShapingFunction("rzf", rho=math.nan),
     lambda: md.ShapingFunction("rzf", rho=math.inf),
-    lambda: md.ShapingFunction("mf", scale=math.nan),
-    lambda: md.ShapingFunction("mf", scale=math.inf),
     lambda: opt.FamilyGrid(rho_min=math.nan),
     lambda: opt.FamilyGrid(rho_max=math.nan),
     lambda: opt.FamilyGrid(rho_max=math.inf),
@@ -44,9 +42,8 @@ def test_config_validation():
     lambda: qt.phase_ce(8, math.nan),
     lambda: qt.phase_ce(8, math.inf),
 ], ids=["power_limit_nan", "power_limit_inf", "gamma_inf", "rho_nan", "rho_inf",
-        "scale_nan", "scale_inf", "rho_min_nan", "rho_max_nan", "rho_max_inf",
-        "amplitude_nan", "amplitude_inf", "step_nan", "step_inf", "radius_nan",
-        "radius_inf"])
+        "rho_min_nan", "rho_max_nan", "rho_max_inf", "amplitude_nan", "amplitude_inf",
+        "step_nan", "step_inf", "radius_nan", "radius_inf"])
 def test_constructors_reject_nonfinite(make):
     with pytest.raises(ValueError):
         make()
@@ -59,11 +56,6 @@ def test_shaping_families():
     assert np.allclose(md.rzf(1.0)(d), d / (d * d + 1.0))
     with pytest.raises(ValueError):
         md.rzf(0.0)
-
-
-def test_scaled_family_member():
-    f = md.ShapingFunction("mf", scale=3.0)
-    assert f(2.0) == pytest.approx(6.0)
 
 
 # -- scalar model ---------------------------------------------------------------

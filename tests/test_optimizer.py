@@ -37,12 +37,6 @@ def test_sigma_asymptotic_matched_filter():
     assert model.power_scale**2 * gm.eq2 == pytest.approx(CFG.power_limit, abs=1e-10)
 
 
-def test_sigma_asymptotic_homogeneous_in_scale():
-    base = md.asymptotic_model(CFG, md.rzf(0.3), ONE_BIT)
-    scaled = md.asymptotic_model(CFG, md.ShapingFunction("rzf", rho=0.3, scale=2.0), ONE_BIT)
-    assert scaled.input_scale == pytest.approx(2.0 * base.input_scale, rel=1e-10)
-
-
 def test_sigma_finite_constraint_identity(one_row):
     draw = one_row(CFG, RngStream(0, 0))
     for f in (md.mf(), md.rzf(0.25)):

@@ -10,7 +10,7 @@ from qprec import quantizer as qt
 ONE_BIT = qt.one_bit(1.0 / math.sqrt(2.0))
 UNIFORM = qt.uniform_iq(levels=4, step=0.5)
 PHASE = qt.phase_ce(4, 1.0)
-ALL_KINDS = [ONE_BIT, UNIFORM, PHASE]
+ALL_KINDS = [ONE_BIT, UNIFORM, PHASE, qt.phase_ce(3), qt.phase_ce(8)]
 
 finite_complex = st.builds(complex,
                            st.floats(-50, 50, allow_nan=False),
@@ -54,6 +54,12 @@ def test_boundary_tie_goes_to_smaller_center():
     # on a rail threshold the lexicographically smaller center wins
     assert qt.quantize(ONE_BIT, 0.0 + 1j).real == pytest.approx(-1.0 / math.sqrt(2.0))
     assert qt.quantize(UNIFORM, 0.5 + 0.1j).real == pytest.approx(0.25)
+    # angle pi is a boundary of phase_ce(3), between mirrored centers: Im < 0 wins
+    # from either side, and the output is the sector's one point
+    for z in (complex(-1.0, 0.0), complex(-1.0, -0.0)):
+        once = qt.quantize(qt.phase_ce(3), z)
+        assert once == pytest.approx(np.exp(-2j * np.pi / 3))
+        assert qt.quantize(qt.phase_ce(3), once) == once
 
 
 def test_tie_rule_holds_at_an_inexact_step():
@@ -199,7 +205,7 @@ def test_rail_arrays_are_built_once_and_read_only():
 
 
 def test_envelope_equals_component_far_from_jumps():
-    env = qt.envelope(ONE_BIT, "real", 0.1)
+    env = qt.Envelope(ONE_BIT, "real", 0.1)
     x = 0.9 + 0.9j  # distance to the jump line exceeds tau * 2 m0
     assert env.lower(x) == env.upper(x) == env.component_value(x)
 
@@ -207,7 +213,7 @@ def test_envelope_equals_component_far_from_jumps():
 @pytest.mark.parametrize("spec", ALL_KINDS)
 @pytest.mark.parametrize("component", ["real", "imag"])
 def test_envelope_sandwich_on_grid(spec, component):
-    env = qt.envelope(spec, component, 0.1)
+    env = qt.Envelope(spec, component, 0.1)
     grid = np.linspace(-3, 3, 101)
     zz = grid[:, None] + 1j * grid[None, :]
     lo, hi = env.lower(zz), env.upper(zz)
@@ -220,14 +226,14 @@ def test_envelope_sandwich_on_grid(spec, component):
 @given(finite_complex, finite_complex, st.sampled_from(range(len(ALL_KINDS))))
 def test_envelope_lipschitz(z1, z2, kind_idx):
     tau = 0.2
-    env = qt.envelope(ALL_KINDS[kind_idx], "real", tau)
+    env = qt.Envelope(ALL_KINDS[kind_idx], "real", tau)
     bound = abs(z1 - z2) / tau + 1e-9
     assert abs(env.lower(z1) - env.lower(z2)) <= bound
     assert abs(env.upper(z1) - env.upper(z2)) <= bound
 
 
 def test_envelope_bounded_by_m0():
-    env = qt.envelope(PHASE, "imag", 0.05)
+    env = qt.Envelope(PHASE, "imag", 0.05)
     grid = np.linspace(-4, 4, 41)
     zz = grid[:, None] + 1j * grid[None, :]
     assert np.all(np.abs(env.lower(zz)) <= PHASE.m0 + 1e-12)
@@ -245,10 +251,11 @@ def test_envelope_gap_expectation_below_linear_bound():
 def test_envelope_gap_requires_tau_in_range():
     with pytest.raises(ValueError):
         qt.envelope_gap_expectation(ONE_BIT, "real", 1.5, 1.0)
+    for tau in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            qt.Envelope(ONE_BIT, "real", tau)
     with pytest.raises(ValueError):
-        qt.envelope(ONE_BIT, "real", 0.0)
-    with pytest.raises(ValueError):
-        qt.envelope(ONE_BIT, "up", 0.1)
+        qt.Envelope(ONE_BIT, "up", 0.1)
     for tau, alpha_bar in ((0.1, math.nan), (math.nan, 1.0), (0.1, math.inf),
                            (math.inf, math.inf)):
         for check in (qt.envelope_gap_expectation, qt.envelope_product_gap):

@@ -17,7 +17,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
      ["phase_ce8 k=8 seed=1 optimal_gap_report ",
       "one_bit k=8 seed=1 sample_coupled users=K "]),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
-     ["uniform_iq4 k=8 seed=- received_gap_tail "]),
+     ["uniform_iq4 k=8 seed=- received_gap_tail ",
+      "phase_ce8 k=- seed=- envelope_product_gap "]),
 ], ids=["convergence_study", "optimize_shaping", "output_digests", "output_digests_tails"])
 def test_script_runs(script, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script] + args)
