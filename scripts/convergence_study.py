@@ -2,16 +2,16 @@
 """Finite-vs-asymptotic convergence study across a dimension ladder.
 
 For each K on the ladder, samples the coupled finite/limiting models and
-prints the SINR gap, SEP gap, root-mean-square received-signal deviation,
-and Ky Fan distances of both gain coefficients, so the decay rates can be
-eyeballed (or piped into `qprec plot`).
+prints the SINR and SEP gap checks: each gap beside its bound, the
+root-mean-square received-signal deviation behind the SINR bound, and the
+Ky Fan distances of both gain coefficients behind the SEP bound, so the
+decay rates can be eyeballed (or piped into `qprec plot`).
 """
 
 import argparse
 import math
 
-import numpy as np
-
+from qprec import bounds as bnd
 from qprec import metrics as met
 from qprec import models as md
 from qprec import quantizer as qt
@@ -32,27 +32,23 @@ def main() -> None:
     shaping = md.rzf(args.rho)
     print(f"# shaping={shaping.label} gamma={args.gamma} noise={args.noise} "
           f"trials={args.trials}")
-    print(f"{'K':>6} {'sinr_gap':>10} {'sep_gap':>10} {'l2_dev':>10} "
-          f"{'kf_signal':>10} {'kf_interf':>10}")
+    print(f"{'K':>6} {'sinr_gap':>10} {'sinr_bnd':>10} {'sep_gap':>10} {'sep_bnd':>10} "
+          f"{'l2_dev':>10} {'kf_signal':>10} {'kf_interf':>10}")
     for k in args.ladder:
         cfg = md.SystemConfig.with_gamma(k=k, gamma=args.gamma,
                                          sigma2_noise=args.noise)
         coupled = md.functional_models(cfg, shaping, quant)
         model = coupled.scalar
         samples = coupled.sample(RngStream(args.seed, k), args.trials)
-        sinr_gap = abs(met.sinr_hat_coupled(samples, model, cfg).value
-                       - met.sinr_bar(cfg, shaping, quant, model=model))
-        rule = met.default_rule(model, cfg)
-        sep_h = met.sep_from_samples(samples.y_hat, samples.s, rule)
-        sep_b = met.sep_bar(model, rule, cfg, RngStream(args.seed, 10**6 + k),
-                            200_000)
-        l2 = met.l2_deviation(samples.y_hat, samples.y_bar).value
-        kf_sig = met.ky_fan_distance(samples.signal_gain,
-                                     np.full(args.trials, model.signal_gain))
-        kf_int = met.ky_fan_distance(samples.interference_gain * samples.g2_user,
-                                     model.interference_gain * samples.g2_user)
-        print(f"{k:>6} {sinr_gap:>10.5f} {abs(sep_h.value - sep_b.value):>10.5f} "
-              f"{l2:>10.5f} {kf_sig:>10.5f} {kf_int:>10.5f}")
+        sinr = bnd.sinr_gap_report(cfg, model, samples,
+                                   met.sinr_bar(cfg, shaping, quant, model=model))
+        bar = met.sep_bar(model, met.default_rule(model, cfg), cfg,
+                          RngStream(args.seed, 10**6 + k), 200_000)
+        sep = bnd.sep_gap_report(cfg, model, samples, bar.value)
+        print(f"{k:>6} {sinr.empirical:>10.5f} {sinr.bound:>10.4g} "
+              f"{sep.empirical:>10.5f} {sep.bound:>10.4g} "
+              f"{sinr.inputs['signal_deviation']:>10.5f} "
+              f"{sep.inputs['kf_signal_gain']:>10.5f} {sep.inputs['kf_interference']:>10.5f}")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 line per output of the samplers, solvers and tail bounds.
+"""Print one SHA-256 line per output of the samplers, solvers, bound checks and tail bounds.
 
 Each line names the quantizer, K, seed and output, then the digest of that
 output's exact bytes (array dtype, shape and contents; float bits in hex).
@@ -30,6 +30,10 @@ on the 101 x 101 grid over [-3, 3]^2 and at one scalar point, and
 component at tau 0.1 and alpha_bar 1.  They add about 3.5 s a run, nearly
 all of it phase_ce(8)'s two expectations on the dense polar grid.
 
+``sinr_gap_report`` and ``sep_gap_report`` are hashed per seed on the
+``CoupledModel.sample`` output, ``form_tail_reports`` and ``lss_variance``
+with the tail cascades, on six streams each: about 0.25 s at K = 1024.
+
 Diffed against a tree whose ``ShapingFunction`` has a ``scale`` field, the
 ``solve_asymptotic`` and ``solve_finite`` lines differ, because their
 ``best`` member is hashed field by field; every other line is the same.
@@ -42,9 +46,11 @@ import hashlib
 import numpy as np
 
 from qprec import bounds as bnd
+from qprec import metrics as met
 from qprec import models as md
 from qprec import optimizer as opt
 from qprec import quantizer as qt
+from qprec import spectral as sp
 from qprec.stochastic import RngStream
 
 QUANTS = {"one_bit": qt.one_bit(), "phase_ce8": qt.phase_ce(8),
@@ -92,9 +98,9 @@ def digest(obj) -> str:
 
 
 def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, trials: int):
-    """(name, output) of every sampler and finite solver for one seed."""
-    yield "CoupledModel.sample", md.CoupledModel(cfg, SHAPING, quant).sample(
-        RngStream(seed, 1), trials)
+    """(name, output) of every sampler, finite solver and gap check for one seed."""
+    samples = md.CoupledModel(cfg, SHAPING, quant).sample(RngStream(seed, 1), trials)
+    yield "CoupledModel.sample", samples
     yield "sample_coupled", md.sample_coupled(cfg, quant, GRID.members(), RngStream(seed, 2),
                                               trials)
     yield "sample_coupled users=K", md.sample_coupled(cfg, quant, [SHAPING], RngStream(seed, 3),
@@ -106,10 +112,15 @@ def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, tri
     yield "solve_finite", opt.solve_finite(cfg, quant, GRID, seed=seed, trials=trials)
     yield "optimal_gap_report", opt.optimal_gap_report(cfg, quant, GRID, seed=seed,
                                                        trials=trials)
+    model = md.asymptotic_model(cfg, SHAPING, quant)
+    yield "sinr_gap_report", bnd.sinr_gap_report(cfg, model, samples,
+                                                 met.sinr_bar(cfg, SHAPING, quant, model=model))
+    bar = met.sep_bar(model, met.default_rule(model, cfg), cfg, RngStream(seed, 6), 20_000)
+    yield "sep_gap_report", bnd.sep_gap_report(cfg, model, samples, bar.value)
 
 
 def tail_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec):
-    """(name, [TailBound at each of TAIL_KS]) of each tail cascade."""
+    """(name, [TailBound at each of TAIL_KS]) of each tail cascade, then the spectral checks."""
     params = bnd.cascade_params(cfg, SHAPING, quant)
     eta = md.asymptotic_model(cfg, SHAPING, quant).power_scale
     s_sup = max(abs(s) for s in cfg.constellation)
@@ -118,6 +129,10 @@ def tail_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec):
     yield "signal_gain_tail", [bnd.signal_gain_tail(TAIL_EPS, k, params) for k in TAIL_KS]
     yield "received_gap_tail", [bnd.received_gap_tail(TAIL_EPS, k, params, eta, s_sup)
                                 for k in TAIL_KS]
+    yield "form_tail_reports", bnd.form_tail_reports(
+        cfg.gamma, cfg.k, [RngStream(7, r) for r in range(6)], (0.2, 0.4))
+    yield "lss_variance", sp.lss_variance(cfg.n, cfg.k, lambda d: d * d,
+                                          [RngStream(8, r) for r in range(6)])
 
 
 def envelope_outputs(quant: qt.QuantizerSpec):

@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ive
 
+from .metrics import (default_rule, gain_ky_fan, l2_deviation, sep_from_samples,
+                      sinr_hat_coupled)
 from .models import ScalarModel, ShapingFunction, SystemConfig, asymptotic_model
 from .quantizer import QuantizerSpec
-from .spectral import theta_interval
+from .spectral import sample_singular_values, theta_interval
+from .stochastic import sample_complex_gaussian
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -525,3 +528,52 @@ class BoundReport:
         if self.empirical is None:
             return None
         return bool(self.empirical <= self.bound)
+
+
+# The empirical checks take their caller's samples or streams, so each caller keeps its draws.
+
+
+def sinr_gap_report(config: SystemConfig, model: ScalarModel, samples,
+                    limit: float) -> BoundReport:
+    """|sinr_hat_coupled - limit| against the SINR sensitivity times ||y_hat - y_bar||_2."""
+    est = sinr_hat_coupled(samples, model, config).value
+    lk = sinr_sensitivity(config, model)
+    dev = l2_deviation(samples.y_hat, samples.y_bar).value
+    return BoundReport("sinr_gap_vs_bound", {"estimate": est, "limit": limit, "sensitivity": lk,
+                                             "signal_deviation": dev},
+                       bound=lk * dev, empirical=abs(est - limit))
+
+
+def sep_gap_report(config: SystemConfig, model: ScalarModel, samples,
+                   bar: float) -> BoundReport:
+    """|SEP - bar| under ``default_rule`` against mean SEP sensitivity x the Ky Fan distances."""
+    rule = default_rule(model, config)
+    hat = sep_from_samples(samples.y_hat, samples.s, rule).value
+    d_sig, d_int = gain_ky_fan(samples, model)
+    lm = float(np.mean(sep_sensitivity(config, model, rule.beta)))
+    return BoundReport("sep_gap_vs_bound", {"estimate": hat, "limit": bar, "sensitivity": lm,
+                                            "kf_signal_gain": d_sig, "kf_interference": d_int},
+                       bound=lm * (d_sig + d_int), empirical=abs(hat - bar))
+
+
+def form_tail_reports(gamma: float, k: int, rngs, eps_grid) -> list[BoundReport]:
+    """Tail frequencies of the quadratic and cross forms in d^2, then their bounds at each eps.
+
+    One (d, g1, g2) per stream, at N = round(gamma K), serves every eps; M1 is
+    the largest d^2 on the padded bulk support.
+    """
+    n, hi = int(round(gamma * k)), theta_interval(gamma)[1]
+    m1 = float(hi * hi)
+    devs = []
+    for rng in rngs:
+        d = sample_singular_values(n, k, rng)
+        g1 = sample_complex_gaussian(k, 1.0, rng)
+        g2 = sample_complex_gaussian(k, 1.0, rng)
+        devs.append((abs(np.real(np.vdot(g1, d * d * g1)) / k - 1.0),
+                     abs(np.vdot(g1, d * d * g2)) / k))
+    devs = np.array(devs)
+    return [BoundReport(f"{form}_tail_{eps}", {"k": k, "eps": eps, "m1": m1, "draws": len(devs)},
+                        bound=tail(eps, k, m1),
+                        empirical=int(np.count_nonzero(devs[:, col] >= eps)) / len(devs))
+            for eps in eps_grid
+            for col, form, tail in ((0, "quad", quad_form_bound), (1, "cross", cross_form_bound))]

@@ -238,6 +238,12 @@ def _lap(records: list[Record], mark: tuple[float, int] | None = None) -> tuple[
     return now, len(records)
 
 
+def _record(cfg: ExperimentConfig, seed: int, k: int, report: bnd.BoundReport) -> Record:
+    """One bound check's record: its empirical value against its bound."""
+    return Record(cfg.name, seed, k, report.name, report.empirical, bound=report.bound,
+                  holds=report.holds)
+
+
 def _run_cells(cfg: ExperimentConfig, cell_fn) -> list[Record]:
     """Run the (seed, K) cells in order, stamping each record with its cell's time."""
     records: list[Record] = []
@@ -348,12 +354,8 @@ def _suite_kyfan_rate(cfg: ExperimentConfig):
     def cell(seed: int, k: int) -> list[Record]:
         system = cfg.system(k)
         coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
-        model = coupled.scalar
         samples = coupled.sample(_stream(seed, "coupled", k), cfg.trials)
-        d_sig = met.ky_fan_distance(samples.signal_gain,
-                                    np.full(len(samples.s), model.signal_gain))
-        d_int = met.ky_fan_distance(samples.interference_gain * samples.g2_user,
-                                    model.interference_gain * samples.g2_user)
+        d_sig, d_int = met.gain_ky_fan(samples, coupled.scalar)
         return [
             Record(cfg.name, seed, k, "kf_signal_gain", d_sig),
             Record(cfg.name, seed, k, "kf_interference", d_int),
@@ -388,56 +390,29 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     mark = _lap(records, mark)
 
     # Envelope sandwich on a grid.
-    env = qnt.Envelope(cfg.quantizer, "real", 0.1)
     grid = np.linspace(-3, 3, 101)
-    zz = grid[:, None] + 1j * grid[None, :]
-    lo_v = env.lower(zz)
-    hi_v = env.upper(zz)
-    mid = env.component_value(zz)
-    sandwich = bool(np.all(lo_v <= mid + 1e-12) and np.all(mid <= hi_v + 1e-12))
-    checks["envelope_sandwich"] = sandwich
-    records.append(Record(cfg.name, 0, k_big, "envelope_sandwich_viol",
-                          float(max(np.max(lo_v - mid), np.max(mid - hi_v))),
+    viol = qnt.Envelope(cfg.quantizer, "real", 0.1).sandwich_violation(
+        grid[:, None] + 1j * grid[None, :])
+    checks["envelope_sandwich"] = sandwich = viol <= 1e-12
+    records.append(Record(cfg.name, 0, k_big, "envelope_sandwich_viol", viol,
                           bound=0.0, holds=sandwich))
     mark = _lap(records, mark)
 
     # Linear spectral statistic variance against its bound, per ladder K.
     m1 = bnd.assumption_m1(cfg.shaping, cfg.gamma)
     for k in cfg.k_ladder:
-        vals = []
-        for rep in range(200):
-            d = spc.sample_singular_values(int(round(cfg.gamma * k)), k,
-                                           _stream(cfg.seeds[0], "lss", k, rep))
-            vals.append(spc.lss_statistic(d, lambda x: x * x))
-        var = float(np.var(vals, ddof=1))
+        var = spc.lss_variance(int(round(cfg.gamma * k)), k, lambda x: x * x,
+                               (_stream(cfg.seeds[0], "lss", k, rep) for rep in range(200)))
         bound = spc.lss_variance_bound(m1, k)
         records.append(Record(cfg.name, cfg.seeds[0], k, "lss_variance", var,
                               bound=bound, holds=var <= bound))
         mark = _lap(records, mark)
-    checks["lss_variance"] = all(r.holds for r in records
-                                 if r.metric == "lss_variance")
+    checks["lss_variance"] = all(r.holds for r in records if r.metric == "lss_variance")
 
-    # Quadratic/cross form empirical tails against the explicit bounds; one
-    # draw of (d, g1, g2) per rep serves every eps.
-    m1_stat = float(np.max(np.linspace(*spc.theta_interval(cfg.gamma), 101) ** 2))
-    reps = 300
-    quad_dev, cross_dev = np.empty(reps), np.empty(reps)
-    for r in range(reps):
-        rng = _stream(cfg.seeds[0], "form_tail", k_big, r)
-        d = spc.sample_singular_values(int(round(cfg.gamma * k_big)), k_big, rng)
-        g1 = sample_complex_gaussian(k_big, 1.0, rng)
-        g2 = sample_complex_gaussian(k_big, 1.0, rng)
-        quad_dev[r] = abs(np.real(np.vdot(g1, d * d * g1)) / k_big - 1.0)
-        cross_dev[r] = abs(np.vdot(g1, d * d * g2)) / k_big
-    for eps in (0.2, 0.4):
-        exceed = int(np.sum(quad_dev >= eps))
-        cross = int(np.sum(cross_dev >= eps))
-        qb = bnd.quad_form_bound(eps, k_big, m1_stat)
-        cb = bnd.cross_form_bound(eps, k_big, m1_stat)
-        records.append(Record(cfg.name, cfg.seeds[0], k_big, f"quad_tail_{eps}",
-                              exceed / reps, bound=qb, holds=exceed / reps <= qb))
-        records.append(Record(cfg.name, cfg.seeds[0], k_big, f"cross_tail_{eps}",
-                              cross / reps, bound=cb, holds=cross / reps <= cb))
+    # Quadratic/cross form empirical tails against the explicit bounds.
+    records += [_record(cfg, cfg.seeds[0], k_big, report) for report in bnd.form_tail_reports(
+        cfg.gamma, k_big, (_stream(cfg.seeds[0], "form_tail", k_big, r) for r in range(300)),
+        (0.2, 0.4))]
     mark = _lap(records, mark)
     checks["form_tails"] = all(r.holds for r in records
                                if r.metric.startswith(("quad_tail", "cross_tail")))
@@ -452,36 +427,17 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
                           mass, bound=collar, holds=mass <= collar))
     mark = _lap(records, mark)
 
-    # SEP and SINR gap bounds at the largest ladder point, one record per seed.
-    sinr_ok, sep_ok = [], []
+    # SEP and SINR gap bounds at the largest ladder point, one record each per seed.
     limit = met.sinr_bar(system, cfg.shaping, cfg.quantizer, model=model)
     rule = met.default_rule(model, system)
-    lk = bnd.sinr_sensitivity(system, model)
-    lm = bnd.sep_sensitivity(system, model, rule.beta)
     for seed in cfg.seeds:
         samples = coupled.sample(_stream(seed, "coupled", k_big), cfg.trials)
-        est = met.sinr_hat_coupled(samples, model, system)
-        dev = met.l2_deviation(samples.y_hat, samples.y_bar)
-        gap = abs(est.value - limit)
-        ok = gap <= lk * dev.value
-        sinr_ok.append(ok)
-        records.append(Record(cfg.name, seed, k_big, "sinr_gap_vs_bound", gap,
-                              bound=lk * dev.value, holds=ok))
-        hat = met.sep_from_samples(samples.y_hat, samples.s, rule)
-        bar = met.sep_bar(model, rule, system, _stream(seed, "sep_bar", k_big), 100_000)
-        d_sig = met.ky_fan_distance(samples.signal_gain,
-                                    np.full(len(samples.s), model.signal_gain))
-        d_int = met.ky_fan_distance(samples.interference_gain * samples.g2_user,
-                                    model.interference_gain * samples.g2_user)
-        sep_bound = float(np.mean(lm)) * (d_sig + d_int)
-        sep_gap = abs(hat.value - bar.value)
-        ok = sep_gap <= sep_bound
-        sep_ok.append(ok)
-        records.append(Record(cfg.name, seed, k_big, "sep_gap_vs_bound", sep_gap,
-                              bound=sep_bound, holds=ok))
+        bar = met.sep_bar(model, rule, system, _stream(seed, "sep_bar", k_big), 100_000).value
+        records += [_record(cfg, seed, k_big, bnd.sinr_gap_report(system, model, samples, limit)),
+                    _record(cfg, seed, k_big, bnd.sep_gap_report(system, model, samples, bar))]
         mark = _lap(records, mark)
-    checks["sinr_gap_bound"] = all(sinr_ok)
-    checks["sep_gap_bound"] = all(sep_ok)
+    checks["sinr_gap_bound"] = all(r.holds for r in records if r.metric == "sinr_gap_vs_bound")
+    checks["sep_gap_bound"] = all(r.holds for r in records if r.metric == "sep_gap_vs_bound")
     return records, checks
 
 
@@ -513,9 +469,7 @@ def _suite_optimize(cfg: ExperimentConfig):
             report = opt.optimal_gap_report(system, cfg.quantizer, cfg.grid,
                                             seed=seed, trials=cfg.trials)
             per_seed.append(report)
-            records.append(Record(cfg.name, seed, k, "optimal_value_gap",
-                                  report.empirical, bound=report.bound,
-                                  holds=report.holds))
+            records.append(_record(cfg, seed, k, report))
         fin = opt.solve_finite(system, cfg.quantizer, cfg.grid,
                                seed=cfg.seeds[0], trials=cfg.trials)
         cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -211,6 +211,14 @@ def ky_fan_distance(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.min(np.maximum(lowers, tails)[feasible]))
 
 
+def gain_ky_fan(samples, model: ScalarModel) -> tuple[float, float]:
+    """Ky Fan distances of the signal gain and the interference term from their limits."""
+    return (ky_fan_distance(samples.signal_gain,
+                            np.full(len(samples.signal_gain), model.signal_gain)),
+            ky_fan_distance(samples.interference_gain * samples.g2_user,
+                            model.interference_gain * samples.g2_user))
+
+
 def l2_deviation(x: np.ndarray, y: np.ndarray) -> Estimate:
     """Root mean squared gap with a delta-method standard error."""
     x = np.asarray(x, dtype=complex).ravel()

@@ -160,22 +160,26 @@ def feasibility_deviation(config: SystemConfig, quant: QuantizerSpec,
     return total / trials
 
 
+def sup_deviation(config: SystemConfig, quant: QuantizerSpec, members: list[ShapingFunction],
+                  rng: RngStream, trials: int) -> tuple[float, float]:
+    """(max SINR sensitivity, max ||y_hat - y_bar|| + ||y_mid - y_bar||) over the members."""
+    l_rho = sup_dev = 0.0
+    for f, samples in zip(members, sample_coupled(config, quant, members, rng, trials)):
+        l_rho = max(l_rho, sinr_sensitivity(config, asymptotic_model(config, f, quant)))
+        dev = (l2_deviation(samples.y_hat, samples.y_bar).value
+               + l2_deviation(samples.y_mid, samples.y_bar).value)
+        sup_dev = max(sup_dev, dev)
+    return l_rho, sup_dev
+
+
 def optimal_gap_report(config: SystemConfig, quant: QuantizerSpec, grid: FamilyGrid,
                        seed: int, trials: int) -> BoundReport:
     """Check |finite optimum - asymptotic optimum| against its deviation bound."""
     asym = solve_asymptotic(config, quant, grid)
     fin = solve_finite(config, quant, grid, seed=seed, trials=trials)
     gap = abs(fin.value - asym.value)
-
-    members = grid.members()
-    sup_dev = 0.0
-    l_rho = 0.0
-    for f, samples in zip(members, sample_coupled(config, quant, members, RngStream(seed, 1),
-                                                  max(200, trials // 4))):
-        l_rho = max(l_rho, sinr_sensitivity(config, asymptotic_model(config, f, quant)))
-        dev = (l2_deviation(samples.y_hat, samples.y_bar).value
-               + l2_deviation(samples.y_mid, samples.y_bar).value)
-        sup_dev = max(sup_dev, dev)
+    l_rho, sup_dev = sup_deviation(config, quant, grid.members(), RngStream(seed, 1),
+                                   max(200, trials // 4))
     return BoundReport(
         name="optimal_value_gap",
         inputs={"k": config.k, "seed": seed, "finite": fin.value,

@@ -93,6 +93,9 @@ class QuantizerSpec:
         # phases/2; one point per sector, at |m| <= phases/2, keeps q(q(z)) = q(z).
         m = np.where(np.abs(m) > self.phases / 2, m - np.copysign(self.phases, m), m)
         points = self.radius * np.exp(1j * (2.0 * np.pi / self.phases) * m)
+        # An even phase count puts the centers at +-phases/2 both at angle pi, where
+        # rounding can give Im either sign; the sign of m keeps each in its own sector.
+        points.imag = np.copysign(points.imag, m)
         points.setflags(write=False)
         return points
 
@@ -306,9 +309,14 @@ class Envelope:
         return values, np.maximum(np.maximum(lo - u, u - hi), 0.0)
 
     def _extremum(self, x: np.ndarray | complex, reduce, sign: float) -> np.ndarray | float:
-        values, dist = self._cells(np.atleast_1d(np.asarray(x, dtype=complex)))
-        out = reduce(values + sign * dist / self.tau, axis=-1)
-        return out if np.ndim(x) else float(out[0])
+        flat = np.asarray(x, dtype=complex).reshape(-1)
+        out = np.empty(flat.shape)
+        # Blocks of points keep the (points x cells) temporaries small.
+        rows = max(1, 2**15 // (self.spec.phases or self.spec.levels))
+        for lo in range(0, flat.size, rows):
+            values, dist = self._cells(flat[lo:lo + rows])
+            out[lo:lo + rows] = reduce(values + sign * dist / self.tau, axis=-1)
+        return out.reshape(np.shape(x)) if np.ndim(x) else float(out[0])
 
     def lower(self, x: np.ndarray | complex) -> np.ndarray | float:
         """min over cells of value + distance / tau."""
@@ -321,6 +329,11 @@ class Envelope:
     def component_value(self, x: np.ndarray | complex) -> np.ndarray | float:
         q = quantize(self.spec, x)
         return np.real(q) if self.component == "real" else np.imag(q)
+
+    def sandwich_violation(self, x: np.ndarray | complex) -> float:
+        """Largest excess of lower over the component, or of the component over upper, on x."""
+        mid = self.component_value(x)
+        return float(max(np.max(self.lower(x) - mid), np.max(mid - self.upper(x))))
 
 
 def _gauss_expect_1d(fn, breaks) -> float:

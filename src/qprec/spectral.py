@@ -166,6 +166,12 @@ def lss_statistic(d: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]) -> floa
     return float(np.mean(vals))
 
 
+def lss_variance(n: int, k: int, fn: Callable[[np.ndarray], np.ndarray], rngs) -> float:
+    """Sample variance of the statistic over one K x N spectrum draw per stream."""
+    return float(np.var([lss_statistic(sample_singular_values(n, k, rng), fn) for rng in rngs],
+                        ddof=1))
+
+
 def lss_variance_bound(m1: float, k: int) -> float:
     """Variance bound 2 M1^2 / K for a statistic bounded by M1."""
     if m1 <= 0 or k < 1:

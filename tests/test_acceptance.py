@@ -165,8 +165,7 @@ def test_criterion_05_ky_fan_rate(sinr_ladder):
             s = _prefix(sinr_ladder[1][3, k], 500)
         else:
             s = coupled.sample(RngStream(3, k), 500)
-        dists.append(met.ky_fan_distance(
-            s.signal_gain, np.full(len(s.s), coupled.scalar.signal_gain)))
+        dists.append(met.gain_ky_fan(s, coupled.scalar)[0])
     slope = float(np.polyfit(np.log(ks), np.log(dists), 1)[0])
     decreasing = all(a > b for a, b in zip(dists, dists[1:]))
     _report(5, "Ky Fan distance decreasing with log-log slope <= -0.2",
@@ -176,41 +175,20 @@ def test_criterion_05_ky_fan_rate(sinr_ladder):
 
 def test_criterion_06_sep_gap_bound(ten_seed_k256):
     cfg, model, samples = ten_seed_k256
-    rule = met.default_rule(model, cfg)
-    lm = bnd.sep_sensitivity(cfg, model, rule.beta)
-    lm_mean = float(np.mean(lm))
-    bar = met.sep_bar(model, rule, cfg, RngStream(606, 0), 200_000)
-    holds = []
-    detail = []
-    for seed, s in samples.items():
-        hat = met.sep_from_samples(s.y_hat, s.s, rule)
-        d_sig = met.ky_fan_distance(s.signal_gain,
-                                    np.full(len(s.s), model.signal_gain))
-        d_int = met.ky_fan_distance(s.interference_gain * s.g2_user,
-                                    model.interference_gain * s.g2_user)
-        bound = lm_mean * (d_sig + d_int)
-        gap = abs(hat.value - bar.value)
-        holds.append(gap <= bound)
-        detail.append(f"{gap:.4f}<={bound:.3f}")
-    _report(6, "SEP gap bound holds on 10/10 seeds at K=256", all(holds),
-            f"{sum(holds)}/10, e.g. {detail[0]}")
+    bar = met.sep_bar(model, met.default_rule(model, cfg), cfg, RngStream(606, 0), 200_000)
+    reports = [bnd.sep_gap_report(cfg, model, s, bar.value) for s in samples.values()]
+    holds, first = sum(r.holds for r in reports), reports[0]
+    _report(6, "SEP gap bound holds on 10/10 seeds at K=256", holds == 10,
+            f"{holds}/10, e.g. {first.empirical:.4f}<={first.bound:.3f}")
 
 
 def test_criterion_07_sinr_gap_bound(ten_seed_k256):
     cfg, model, samples = ten_seed_k256
     limit = met.sinr_bar(cfg, RZF, ONE_BIT, model=model)
-    lk = bnd.sinr_sensitivity(cfg, model)
-    holds = []
-    detail = []
-    for seed, s in samples.items():
-        est = met.sinr_hat_coupled(s, model, cfg)
-        dev = met.l2_deviation(s.y_hat, s.y_bar)
-        gap = abs(est.value - limit)
-        bound = lk * dev.value
-        holds.append(gap <= bound)
-        detail.append(f"{gap:.4f}<={bound:.2f}")
+    reports = [bnd.sinr_gap_report(cfg, model, s, limit) for s in samples.values()]
+    holds, first = sum(r.holds for r in reports), reports[0]
     _report(7, "SINR gap bound holds on 10/10 seeds at K=256 (coupled draws)",
-            all(holds), f"{sum(holds)}/10, e.g. {detail[0]}")
+            holds == 10, f"{holds}/10, e.g. {first.empirical:.4f}<={first.bound:.2f}")
 
 
 def test_criterion_08_lss_variance():
@@ -218,9 +196,8 @@ def test_criterion_08_lss_variance():
     ok = True
     detail = []
     for k in (64, 256):
-        vals = [sp.lss_statistic(sp.sample_singular_values(4 * k, k, RngStream(8, 1000 * k + r)),
-                                 lambda d: d * d) for r in range(200)]
-        var = float(np.var(vals, ddof=1))
+        var = sp.lss_variance(4 * k, k, lambda d: d * d,
+                              (RngStream(8, 1000 * k + r) for r in range(200)))
         bound = sp.lss_variance_bound(m1, k)
         ok &= var <= bound
         detail.append(f"K={k}: {var:.2e}<={bound:.2e}")
@@ -229,34 +206,13 @@ def test_criterion_08_lss_variance():
 
 
 def test_criterion_09_quadratic_form_tails():
-    from qprec.stochastic import sample_complex_gaussian
-
-    k = 256
-    m1 = 1.75**2  # bound on the d^2 statistic over the padded bulk support
-    reps = 500
     eps_grid = (0.2, 0.4)
-    exceed = {e: 0 for e in eps_grid}
-    cross = {e: 0 for e in eps_grid}
-    for r in range(reps):
-        rng = RngStream(9, r)
-        d = sp.sample_singular_values(4 * k, k, rng)
-        g1 = sample_complex_gaussian(k, 1.0, rng)
-        g2 = sample_complex_gaussian(k, 1.0, rng)
-        quad = np.real(np.vdot(g1, d * d * g1)) / k
-        crossval = abs(np.vdot(g1, d * d * g2)) / k
-        for e in eps_grid:
-            exceed[e] += abs(quad - 1.0) >= e
-            cross[e] += crossval >= e
-    ok = True
-    detail = []
-    for e in eps_grid:
-        qb = bnd.quad_form_bound(e, k, m1)
-        cb = bnd.cross_form_bound(e, k, m1)
-        ok &= exceed[e] / reps <= qb and cross[e] / reps <= cb
-        detail.append(f"eps={e}: quad {exceed[e] / reps:.3f}<={qb:.3g}, "
-                      f"cross {cross[e] / reps:.3f}<={cb:.3g}")
-    _report(9, "quadratic/cross form tails below their explicit bounds", ok,
-            "; ".join(detail))
+    reports = bnd.form_tail_reports(GAMMA, 256, (RngStream(9, r) for r in range(500)), eps_grid)
+    detail = [f"eps={e}: quad {q.empirical:.3f}<={q.bound:.3g}, "
+              f"cross {c.empirical:.3f}<={c.bound:.3g}"
+              for e, q, c in zip(eps_grid, reports[::2], reports[1::2])]
+    _report(9, "quadratic/cross form tails below their explicit bounds",
+            all(r.holds for r in reports), "; ".join(detail))
 
 
 def test_criterion_10_quantizer_moments_and_envelopes():
@@ -271,9 +227,7 @@ def test_criterion_10_quantizer_moments_and_envelopes():
 
     env = qt.Envelope(ONE_BIT, "real", 0.1)
     grid = np.linspace(-3, 3, 101)
-    zz = grid[:, None] + 1j * grid[None, :]
-    lo, hi, mid = env.lower(zz), env.upper(zz), env.component_value(zz)
-    sandwich_ok = bool(np.all(lo <= mid + 1e-12) and np.all(mid <= hi + 1e-12))
+    sandwich_ok = env.sandwich_violation(grid[:, None] + 1j * grid[None, :]) <= 1e-12
 
     pts = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
     pts2 = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
@@ -304,19 +258,10 @@ def test_criterion_11_optimizer_stability():
                 fin256[seed] = fin
         rel_gap[k] = float(np.mean(gaps)) / asym[k].value
 
-    cfg = _config(256)
-    l_rho = 0.0
-    models = {}
-    for f in GRID.members():
-        models[f.label] = md.asymptotic_model(cfg, f, ONE_BIT)
-        l_rho = max(l_rho, bnd.sinr_sensitivity(cfg, models[f.label]))
     holds = []
     for seed, fin in fin256.items():
-        sup_dev = 0.0
-        for s in md.sample_coupled(cfg, ONE_BIT, GRID.members(), RngStream(seed, 7000), 250):
-            dev = (float(np.sqrt(np.mean(np.abs(s.y_hat - s.y_bar) ** 2)))
-                   + float(np.sqrt(np.mean(np.abs(s.y_mid - s.y_bar) ** 2))))
-            sup_dev = max(sup_dev, dev)
+        l_rho, sup_dev = opt.sup_deviation(_config(256), ONE_BIT, GRID.members(),
+                                           RngStream(seed, 7000), 250)
         holds.append(abs(fin.value - asym[256].value) <= l_rho * sup_dev)
 
     fdev = {}

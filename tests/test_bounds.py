@@ -10,7 +10,7 @@ from scipy.special import ive
 from qprec import bounds as bnd
 from qprec import models as md
 from qprec import quantizer as qt
-from qprec.spectral import lss_tail_bound, sample_singular_values
+from qprec.spectral import lss_tail_bound
 from qprec.stochastic import RngStream, sample_complex_gaussian
 
 CFG = md.SystemConfig.with_gamma(k=64, gamma=4.0, sigma2_noise=0.1)
@@ -61,23 +61,9 @@ def test_kernels_reject_bad_hypotheses():
 
 
 def test_quad_form_empirical_tail():
-    k, m1 = 256, 1.75**2
-    reps, eps_grid = 400, (0.2, 0.4)
-    exceed = {e: 0 for e in eps_grid}
-    cross = {e: 0 for e in eps_grid}
-    for r in range(reps):
-        rng = RngStream(42, r)
-        d = sample_singular_values(4 * k, k, rng)
-        g1 = sample_complex_gaussian(k, 1.0, rng)
-        g2 = sample_complex_gaussian(k, 1.0, rng)
-        quad = np.real(np.vdot(g1, d * d * g1)) / k
-        crossval = abs(np.vdot(g1, d * d * g2)) / k
-        for e in eps_grid:
-            exceed[e] += abs(quad - 1.0) >= e
-            cross[e] += crossval >= e
-    for e in eps_grid:
-        assert exceed[e] / reps <= bnd.quad_form_bound(e, k, m1)
-        assert cross[e] / reps <= bnd.cross_form_bound(e, k, m1)
+    reports = bnd.form_tail_reports(4.0, 256, (RngStream(42, r) for r in range(400)), (0.2, 0.4))
+    assert [r.name for r in reports if r.holds] == ["quad_tail_0.2", "cross_tail_0.2",
+                                                    "quad_tail_0.4", "cross_tail_0.4"]
 
 
 def test_lss_chebyshev_formula():

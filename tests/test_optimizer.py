@@ -201,8 +201,5 @@ def test_solution_set_distance_bounded_by_growth(growth, asym, one_row):
                                     md.asymptotic_model(CFG, asym.best, ONE_BIT))
         draw = one_row(CFG, RngStream(20, seed))
         dev = max(_pair_distances(draw, CFG, members, limits))
-        coupled = md.functional_models(CFG, fin.best, ONE_BIT)
-        samples = coupled.sample(RngStream(21, seed), 200)
-        dcoup = (float(np.sqrt(np.mean(np.abs(samples.y_hat - samples.y_bar) ** 2)))
-                 + float(np.sqrt(np.mean(np.abs(samples.y_mid - samples.y_bar) ** 2))))
+        dcoup = opt.sup_deviation(CFG, ONE_BIT, [fin.best], RngStream(21, seed), 200)[1]
         assert dist <= growth(dev + l_rho * dcoup) + 1e-9

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +86,14 @@ def test_idempotence(z, kind_idx):
     spec = ALL_KINDS[kind_idx]
     once = qt.quantize(spec, z)
     assert qt.quantize(spec, once) == once
+
+
+def test_idempotence_at_every_phase_count():
+    # An even count has two centers at angle pi; each must quantize to itself.
+    z = np.append(np.exp(1j * np.linspace(-np.pi, np.pi, 4001)), [-1.0, complex(-1.0, -0.0)])
+    for spec in map(qt.phase_ce, range(2, 200)):
+        once = qt.quantize(spec, z)
+        assert qt.quantize(spec, once).tobytes() == once.tobytes(), spec.phases
 
 
 def test_quantize_rejects_nonfinite():
@@ -213,13 +222,25 @@ def test_envelope_equals_component_far_from_jumps():
 @pytest.mark.parametrize("spec", ALL_KINDS)
 @pytest.mark.parametrize("component", ["real", "imag"])
 def test_envelope_sandwich_on_grid(spec, component):
-    env = qt.Envelope(spec, component, 0.1)
+    grid = np.linspace(-3, 3, 101)
+    assert qt.Envelope(spec, component, 0.1).sandwich_violation(
+        grid[:, None] + 1j * grid[None, :]) <= 1e-12
+
+
+def test_envelope_of_many_levels_runs_in_bounded_memory():
+    env = qt.Envelope(qt.uniform_iq(2000, 0.003), "real", 0.1)
     grid = np.linspace(-3, 3, 101)
     zz = grid[:, None] + 1j * grid[None, :]
-    lo, hi = env.lower(zz), env.upper(zz)
-    mid = env.component_value(zz)
-    assert np.all(lo <= mid + 1e-12)
-    assert np.all(mid <= hi + 1e-12)
+    tracemalloc.start()
+    try:
+        lower, upper, viol = env.lower(zz), env.upper(zz), env.sandwich_violation(zz)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert viol <= 1e-12 and peak < 64 * 2**20
+    # A small grid splits into other blocks; every value keeps its bits.
+    assert np.array_equal(env.lower(zz[::10, ::10]), lower[::10, ::10])
+    assert np.array_equal(env.upper(zz[::10, ::10]), upper[::10, ::10])
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,11 +14,11 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("optimize_shaping.py", ["--k", "8", "--trials", "20", "--points", "3"],
      ["value-gap bound"]),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
-     ["phase_ce8 k=8 seed=1 optimal_gap_report ",
-      "one_bit k=8 seed=1 sample_coupled users=K "]),
+     ["phase_ce8 k=8 seed=1 optimal_gap_report ", "uniform_iq4 k=8 seed=1 sinr_gap_report ",
+      "one_bit k=8 seed=1 sample_coupled users=K ", "one_bit k=8 seed=1 sep_gap_report "]),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
-     ["uniform_iq4 k=8 seed=- received_gap_tail ",
-      "phase_ce8 k=- seed=- envelope_product_gap "]),
+     ["uniform_iq4 k=8 seed=- received_gap_tail ", "one_bit k=8 seed=- form_tail_reports ",
+      "phase_ce8 k=- seed=- envelope_product_gap ", "phase_ce8 k=8 seed=- lss_variance "]),
 ], ids=["convergence_study", "optimize_shaping", "output_digests", "output_digests_tails"])
 def test_script_runs(script, args, expected, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [script] + args)
