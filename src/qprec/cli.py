@@ -393,9 +393,9 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     grid = np.linspace(-3, 3, 101)
     viol = qnt.Envelope(cfg.quantizer, "real", 0.1).sandwich_violation(
         grid[:, None] + 1j * grid[None, :])
-    checks["envelope_sandwich"] = sandwich = viol <= 1e-12
+    checks["envelope_sandwich"] = sandwich = viol <= qnt.SANDWICH_TOLERANCE
     records.append(Record(cfg.name, 0, k_big, "envelope_sandwich_viol", viol,
-                          bound=0.0, holds=sandwich))
+                          bound=qnt.SANDWICH_TOLERANCE, holds=sandwich))
     mark = _lap(records, mark)
 
     # Linear spectral statistic variance against its bound, per ladder K.

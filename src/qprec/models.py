@@ -314,8 +314,10 @@ class RawDraw:
         object.__setattr__(self, "norms", norms)
 
 
-# Complex entries in one (draws x members x N) array of a chunk: 256 KB, small
-# enough that the chunks add no visible peak memory.
+# draws * members * N complex entries of a chunk: 256 KB, small enough that the
+# chunks add no visible peak memory.  It bounds every array of a block
+# evaluation: q(alpha z1) of a multi-level quantizer is (draws x members x N),
+# one-bit's q is (draws x N) and shat is (draws x members x K).
 _CHUNK_ENTRIES = 2**14
 
 
@@ -377,27 +379,32 @@ def scale_pair(block: RawDraw, config: SystemConfig,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """First stage of a block evaluation: (alpha, eta, ||q||, q(alpha z1), shat).
 
-    Entry [i, j] of each array belongs to row i of ``block`` under ``shapings[j]``:
-    alpha, eta and ||q|| are (draws x members), q and shat (draws x members x N).
-    shat is the shaped precoder input embedded in C^N (zero past column K), so
+    Entry [i, j] of alpha, eta and ||q|| belongs to row i of ``block`` under
+    ``shapings[j]``; each is (draws x members).  shat (draws x members x K) is
+    the shaped precoder input, whose embedding in C^N is zero past entry K, so
     alpha = ||shat|| / ||z1||, and eta enforces the power budget on each draw.
-    One quantize call covers the block.  Raises DegenerateDrawError when a norm
-    vanishes for any draw and member.
+    q is (draws x members x N), quantized in one call.  Under one-bit
+    (``quant.scale_free``) q(alpha z1) = q(z1), so q is (draws x 1 x N) from
+    one row per draw, and each draw's ||q|| and eta serve all its members.
+    Raises DegenerateDrawError when a norm vanishes for any draw and member.
     """
     n, k = config.n, config.k
     s_norm, g1_norm, z1_norm = (x[:, None] for x in block.norms)
-    shat = np.zeros((len(block.d), len(shapings), n), dtype=complex)
-    for j, f in enumerate(shapings):
-        np.multiply((s_norm / g1_norm) * np.asarray(f(block.d)), block.g1, out=shat[:, j, :k])
+    shaped = np.stack([np.asarray(f(block.d)) for f in shapings], axis=1)
+    shat = ((s_norm / g1_norm)[..., None] * shaped) * block.g1[:, None]
     shat_norm = complex_norm(shat)
     alpha = shat_norm / z1_norm
     if not (shat_norm > 0).all() or not np.isfinite(alpha).all():
         raise DegenerateDrawError("degenerate draw in the equivalent model")
-    qz = quantize(quant, alpha[..., None] * block.z1[:, None])
+    if quant.scale_free:
+        qz = quantize(quant, block.z1)[:, None]
+    else:
+        qz = quantize(quant, alpha[..., None] * block.z1[:, None])
     qz_norm = complex_norm(qz)
     if not (qz_norm > 0).all():
         raise DegenerateDrawError("degenerate quantized draw")
-    return alpha, np.sqrt(config.power_limit * n) / qz_norm, qz_norm, qz, shat
+    eta = np.sqrt(config.power_limit * n) / qz_norm
+    return (alpha, *(np.broadcast_to(x, alpha.shape) for x in (eta, qz_norm)), qz, shat)
 
 
 @dataclass(frozen=True)
@@ -419,9 +426,12 @@ def evaluate(block: RawDraw, config: SystemConfig,
 
     The shapings share ``quant``.  The vector work runs once over the
     (draws x members) block: one quantize call, one reflector set-up per draw
-    each for z1, g1 and s, and one np.vecdot call per dot product.  Each entry
-    follows the arithmetic of one draw and one shaping alone, so it equals that
-    evaluation bit for bit.  Raises DegenerateDrawError on degeneracy.
+    each for z1, g1 and s, and one np.vecdot call per dot product.  Under
+    one-bit, c1's z1 . q and c2's B(z1)^H q are formed once per draw.  The
+    shaped input's vectors keep their first K entries, the ones that can be
+    nonzero.  Each entry follows the arithmetic of one draw and one shaping
+    alone, so it equals that evaluation bit for bit.  Raises DegenerateDrawError
+    on degeneracy.
     """
     alpha, eta, qnorm, qz, shat = scale_pair(block, config, shapings, quant)
     # A (draws x 1 x length) stack broadcasts a draw's vector over the members.
@@ -429,10 +439,11 @@ def evaluate(block: RawDraw, config: SystemConfig,
     s_norm, g1_norm, z1_norm = (x[:, None] for x in block.norms)
     c1 = np.vecdot(z1, qz) / (alpha * (z1_norm * z1_norm))
     c2 = complex_norm(complement_project(z1, qz)) / complex_norm(z2_tail)[:, None]
-    del qz  # freed before the next (draws x members x N) arrays, to bound peak memory
-    # w = C1 D shat + C2 D B(shat) z2[2:N], keeping the first K entries.
-    mixed = complement_embed(shat, z2_tail[:, None])[..., :config.k]
-    w = c1[..., None] * d * shat[..., :config.k] + c2[..., None] * d * mixed
+    del qz  # freed before the next (draws x members x K) arrays, to bound peak memory
+    # w = C1 D shat + C2 D B(shat) z2[2:N].  shat vanishes past entry K, so the
+    # first K entries of B(shat) z2[2:N] read z2[2:K] alone, and the rest are unread.
+    mixed = complement_embed(shat, z2_tail[:, None, :config.k - 1])
+    w = c1[..., None] * d * shat + c2[..., None] * d * mixed
     # R(s) g2 = (s^H g2 / ||s||, B(s)^H g2): the split of g2 along s and its complement.
     g2_rot = reflect(block.s, block.g2)
     denom = complex_norm(g2_rot[:, 1:])
@@ -440,7 +451,8 @@ def evaluate(block: RawDraw, config: SystemConfig,
         raise DegenerateDrawError("degenerate rotated interference draw")
     t_g = complex_norm(complement_project(g1, w)) / denom[:, None]
     t_s = np.vecdot(g1, w) / (g1_norm * s_norm) - t_g * g2_rot[:, :1] / s_norm
-    return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1, c2=c2, t_s=t_s, t_g=t_g)
+    return Evaluation(alpha=alpha, eta=eta, qnorm=qnorm, c1=c1,
+                      c2=np.broadcast_to(c2, alpha.shape), t_s=t_s, t_g=t_g)
 
 
 def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStream,

@@ -77,6 +77,16 @@ class QuantizerSpec:
         """Same constant for |q|^2, whose jumps lie on both components' sets."""
         return 2.0 * self.band_constant
 
+    @property
+    def scale_free(self) -> bool:
+        """q(a z) = q(z) bit for bit for a > 0 unless a z underflows to 0: one-bit.
+
+        The two-level rails decide on the sign alone.  phase_ce is scale-free
+        in exact arithmetic only: arctan2(a y, a x) can differ from
+        arctan2(y, x) in its last bit.
+        """
+        return self.kind == "uniform_iq" and self.levels == 2
+
     # -- scalar rail structure (separable kinds) ----------------------------
 
     def rail_thresholds(self) -> np.ndarray:
@@ -274,6 +284,11 @@ def gaussian_moments(spec: QuantizerSpec, alpha: float | np.ndarray) -> Gaussian
 # is attained on cell closures, so l_tau(x) = min_c { v_c + dist(x, c)/tau }
 # in closed form from the recorded cell geometry (u_tau symmetrically).
 # ---------------------------------------------------------------------------
+
+# Largest sandwich_violation that counts as lower <= component <= upper: the
+# phase cells' values come from cos/sin and quantize's points from exp, which
+# differ in their last bits (phase_ce(8) reads 2.45e-16 on a 101 x 101 grid).
+SANDWICH_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)

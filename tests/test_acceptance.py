@@ -227,7 +227,8 @@ def test_criterion_10_quantizer_moments_and_envelopes():
 
     env = qt.Envelope(ONE_BIT, "real", 0.1)
     grid = np.linspace(-3, 3, 101)
-    sandwich_ok = env.sandwich_violation(grid[:, None] + 1j * grid[None, :]) <= 1e-12
+    sandwich_ok = env.sandwich_violation(grid[:, None] + 1j * grid[None, :]) \
+        <= qt.SANDWICH_TOLERANCE
 
     pts = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
     pts2 = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)

@@ -451,6 +451,36 @@ def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
     assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 1)
 
 
+@pytest.mark.parametrize("name", ["one_bit", "uniform_iq4"])
+def test_quantize_gets_one_row_per_draw_only_under_one_bit(monkeypatch, name):
+    """One-bit quantizes each draw's z1 once; a multi-level quantizer each alpha z1."""
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
+    shapes = []
+    original = md.quantize
+
+    def recorded(spec, z):
+        shapes.append(np.shape(z))
+        return original(spec, z)
+
+    monkeypatch.setattr(md, "quantize", recorded)
+    (_, block, _), = md.draw_chunks(cfg, RngStream(16, 17), 5, 11)
+    md.evaluate(block, cfg, GRID.members(), QUANTS[name])
+    assert shapes == [(5, cfg.n) if name == "one_bit" else (5, 11, cfg.n)]
+
+
+@pytest.mark.parametrize("name", list(QUANTS))
+def test_every_scale_and_gain_is_per_draw_and_member(name):
+    """A (draws x 1) eta would make feasibility_deviation's zip read member 0 alone."""
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
+    (_, block, _), = md.draw_chunks(cfg, RngStream(16, 18), 5, 11)
+    alpha, eta, qnorm, _, shat = md.scale_pair(block, cfg, GRID.members(), QUANTS[name])
+    assert alpha.shape == eta.shape == qnorm.shape == (5, 11)
+    assert shat.shape == (5, 11, cfg.k)
+    ev = md.evaluate(block, cfg, GRID.members(), QUANTS[name])
+    for f in dataclasses.fields(md.Evaluation):
+        assert getattr(ev, f.name).shape == (5, 11), f.name
+
+
 def test_draw_chunks_draws_one_spectrum_per_trial(monkeypatch):
     """The tier-1 twin of the benchmark tracer's count of spectrum draws."""
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)

@@ -74,6 +74,29 @@ def test_tie_rule_holds_at_an_inexact_step():
     assert qt.quantize(spec, thresholds[-1] + 0j).real == values[-2] == 0.1 * 2.5
 
 
+# Rail values whose products with a in [1e-6, 1e6] neither underflow to 0 nor overflow.
+scalable_rail = st.floats(-1e290, 1e290).filter(lambda x: x == 0 or abs(x) >= 1e-290)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(complex, scalable_rail, scalable_rail), min_size=1, max_size=8),
+       st.floats(1e-6, 1e6))
+def test_one_bit_is_scale_free(z, a):
+    """What lets a block evaluation quantize z1 once per draw under one-bit."""
+    z = np.array(z)
+    assert ONE_BIT.scale_free
+    assert qt.quantize(ONE_BIT, a * z).tobytes() == qt.quantize(ONE_BIT, z).tobytes()
+
+
+def test_only_one_bit_is_scale_free():
+    z = 0.4 + 0.4j
+    assert not UNIFORM.scale_free
+    assert qt.quantize(UNIFORM, z) == 0.25 + 0.25j
+    assert qt.quantize(UNIFORM, 2.0 * z) == 0.75 + 0.75j
+    # phase_ce is scale-free in exact arithmetic, but arctan2 is not, in its last bit.
+    assert not PHASE.scale_free and not qt.phase_ce(8).scale_free
+
+
 def test_subnormal_input_keeps_its_sign():
     # x/step underflows to 0 here; the sign of x still picks the cell.
     spec = qt.one_bit(7.77)
@@ -224,7 +247,7 @@ def test_envelope_equals_component_far_from_jumps():
 def test_envelope_sandwich_on_grid(spec, component):
     grid = np.linspace(-3, 3, 101)
     assert qt.Envelope(spec, component, 0.1).sandwich_violation(
-        grid[:, None] + 1j * grid[None, :]) <= 1e-12
+        grid[:, None] + 1j * grid[None, :]) <= qt.SANDWICH_TOLERANCE
 
 
 def test_envelope_of_many_levels_runs_in_bounded_memory():
@@ -237,7 +260,7 @@ def test_envelope_of_many_levels_runs_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert viol <= 1e-12 and peak < 64 * 2**20
+    assert viol <= qt.SANDWICH_TOLERANCE and peak < 64 * 2**20
     # A small grid splits into other blocks; every value keeps its bits.
     assert np.array_equal(env.lower(zz[::10, ::10]), lower[::10, ::10])
     assert np.array_equal(env.upper(zz[::10, ::10]), upper[::10, ::10])

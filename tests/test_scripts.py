@@ -9,6 +9,10 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+# Output of each (script, args) run so far: cases with the same arguments share one run.
+_OUTPUTS = {}
+
+
 @pytest.mark.parametrize("script,args,expected", [
     ("convergence_study.py", ["--ladder", "8", "--trials", "20"], ["sinr_gap"]),
     ("optimize_shaping.py", ["--k", "8", "--trials", "20", "--points", "3"],
@@ -21,12 +25,13 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
       "phase_ce8 k=- seed=- envelope_product_gap ", "phase_ce8 k=8 seed=- lss_variance "]),
 ], ids=["convergence_study", "optimize_shaping", "output_digests", "output_digests_tails"])
 def test_script_runs(script, args, expected, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", [script] + args)
-    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
-    out = capsys.readouterr().out
+    key = (script, tuple(args))
+    if key not in _OUTPUTS:
+        monkeypatch.setattr(sys, "argv", [script] + args)
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        _OUTPUTS[key] = capsys.readouterr().out
     for line in expected:
-        assert line in out
-
+        assert line in _OUTPUTS[key]
 
 def test_run_all_suites_keeps_config_beside_results(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["run_all_suites.py", "--suite", "tail-audit",
