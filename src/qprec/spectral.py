@@ -116,9 +116,23 @@ def mp_cdf_sv(x: float, law: MpLaw) -> float:
 
 
 def sample_channel(config: "SystemConfig", rng: RngStream) -> np.ndarray:
-    """Singular values, descending, of one i.i.d. CN(0, 1/N) K x N channel draw."""
-    h = sample_complex_gaussian(config.k * config.n, 1.0 / config.n, rng)
-    return np.linalg.svd(h.reshape(config.k, config.n), compute_uv=False)
+    """Singular values, descending, of one i.i.d. CN(0, 1/N) K x N channel draw.
+
+    They are the square roots of the eigenvalues of the K x K Gram H H^H, as
+    in ``models.simulate_original``.  The Gram's entries are np.vecdot dot
+    products, which OpenBLAS does not split over threads: a dense SVD, or a
+    matmul Gram, goes through its threaded path, which in a long-running
+    process can spin for a quarter second per call at K = 64.  Through the
+    Gram, a singular value's absolute error is about eps * d_max^2 / d, so
+    the smallest one's relative error grows like eps * kappa^2 with
+    kappa = d_max / d_min: against the SVD, 2e-15 at gamma = 4, 3e-14 at
+    gamma = 1.25, but 1e-12 at gamma = 1.01 (K = 64).
+    """
+    k, n = config.k, config.n
+    h = sample_complex_gaussian(k * n, 1.0 / n, rng).reshape(k, n)
+    lam = np.linalg.eigvalsh(np.vecdot(h[None, :, :], h[:, None, :]))
+    # eigvalsh returns the eigenvalues in ascending order; reversing them sorts them descending.
+    return np.sqrt(np.maximum(lam[::-1], 0.0))
 
 
 @lru_cache(maxsize=64)
@@ -148,7 +162,8 @@ def sample_singular_values(n: int, k: int, rng: RngStream) -> np.ndarray:
     if k > 1:
         main[1:] += sub**2
         off = diag[:-1] * sub
-        lam = eigvalsh_tridiagonal(main, off, lapack_driver="sterf")
+        # Chi draws and their products are finite by construction.
+        lam = eigvalsh_tridiagonal(main, off, check_finite=False, lapack_driver="sterf")
     else:
         lam = main
     # sterf returns the eigenvalues in ascending order; reversing them sorts them descending.

@@ -1,9 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qprec import cli
+from qprec.stochastic import sample_complex_gaussian
 
 
 def _write_config(tmp_path: Path, name: str, *, k_ladder="16 32", seeds="1 2",
@@ -133,6 +135,28 @@ def test_mp_check_end_to_end(tmp_path):
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0].startswith("# qprec-results")
     assert len(rows) > 3
+
+
+def test_mp_check_matches_a_dense_svd_reference(tmp_path, monkeypatch):
+    def run(name):
+        path = _write_config(tmp_path, "mp-check", k_ladder="32 64", seeds="7")
+        path.write_text(path.read_text().replace(str(tmp_path / "out"), str(tmp_path / name)))
+        assert cli.main(["run", str(path)]) == 0
+        summary = json.loads((tmp_path / name / "summary.json").read_text())
+        return summary["checks"], cli._read_records(tmp_path / name / "results.csv")
+
+    def svd_channel(config, rng):
+        h = sample_complex_gaussian(config.k * config.n, 1.0 / config.n, rng)
+        return np.linalg.svd(h.reshape(config.k, config.n), compute_uv=False)
+
+    checks, records = run("gram")
+    monkeypatch.setattr(cli.spc, "sample_channel", svd_channel)
+    ref_checks, ref_records = run("svd")
+    assert checks == ref_checks == {"edge_containment": True}
+    assert len(records) == len(ref_records) == 6
+    for mine, ref in zip(records, ref_records):
+        assert (mine["k"], mine["metric"], mine["holds"]) == (ref["k"], ref["metric"], ref["holds"])
+        assert float(mine["value"]) == pytest.approx(float(ref["value"]), rel=1e-12, abs=0.0)
 
 
 def test_run_is_deterministic_modulo_wall_time(tmp_path):

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from qprec import spectral as sp
 from qprec.models import SystemConfig, mf
-from qprec.stochastic import RngStream
+from qprec.stochastic import RngStream, sample_complex_gaussian
 
 LAW4 = sp.MpLaw(4.0)
 
@@ -105,13 +105,28 @@ def test_bulk_edges_at_desk_scale():
     assert np.all(np.diff(d) <= 0)
 
 
+@pytest.mark.parametrize("k, gamma", [(8, 4.0), (64, 4.0), (48, 1.25)])
+def test_sample_channel_is_the_svd_of_its_draw(k, gamma):
+    cfg = SystemConfig.with_gamma(k=k, gamma=gamma)
+    for seed in range(5):
+        mine, ref = RngStream(seed, 7), RngStream(seed, 7)
+        d = sp.sample_channel(cfg, mine)
+        assert d.shape == (k,)
+        assert np.all(np.diff(d) <= 0)
+        h = sample_complex_gaussian(k * cfg.n, 1.0 / cfg.n, ref).reshape(k, cfg.n)
+        np.testing.assert_allclose(d, np.linalg.svd(h, compute_uv=False), rtol=1e-12, atol=0.0)
+        # Both streams have read exactly one channel draw.
+        np.testing.assert_array_equal(mine.generator.standard_normal(8),
+                                      ref.generator.standard_normal(8))
+
+
 def test_trace_identity_over_draws():
     cfg = SystemConfig.with_gamma(k=32, gamma=4.0)
     means = [np.mean(sp.sample_channel(cfg, RngStream(5, t)) ** 2) for t in range(40)]
     assert abs(np.mean(means) - 1.0) < 0.02
 
 
-def test_fast_spectrum_matches_dense_svd():
+def test_fast_spectrum_matches_dense_channel():
     cfg = SystemConfig.with_gamma(k=48, gamma=4.0)
     fast = np.concatenate([sp.sample_singular_values(192, 48, RngStream(s, 0))
                            for s in range(50)])
