@@ -30,6 +30,11 @@ on the 101 x 101 grid over [-3, 3]^2 and at one scalar point, and
 component at tau 0.1 and alpha_bar 1.  They add about 3.5 s a run, nearly
 all of it phase_ce(8)'s two expectations on the dense polar grid.
 
+``sup_deviation`` (the sensitivity and the signal deviation of the gap
+bound) is hashed per seed over the grid, on its own stream and the run's
+trials, so the deviation term can be compared apart from
+``optimal_gap_report``, which always takes at least 200 trials.
+
 ``sinr_gap_report`` and ``sep_gap_report`` are hashed per seed on the
 ``CoupledModel.sample`` output, ``form_tail_reports`` and ``lss_variance``
 with the tail cascades, on six streams each: about 0.25 s at K = 1024.
@@ -112,6 +117,8 @@ def seeded_outputs(cfg: md.SystemConfig, quant: qt.QuantizerSpec, seed: int, tri
     yield "solve_finite", opt.solve_finite(cfg, quant, GRID, seed=seed, trials=trials)
     yield "optimal_gap_report", opt.optimal_gap_report(cfg, quant, GRID, seed=seed,
                                                        trials=trials)
+    yield "sup_deviation", opt.sup_deviation(cfg, quant, GRID.members(), RngStream(seed, 9),
+                                             trials)
     model = md.asymptotic_model(cfg, SHAPING, quant)
     yield "sinr_gap_report", bnd.sinr_gap_report(cfg, model, samples,
                                                  met.sinr_bar(cfg, SHAPING, quant, model=model))

@@ -145,7 +145,6 @@ class CascadeParams:
     var_df: float
     mean_f2: float
     mean_d2f2: float
-    mean_d2: float
 
     def __post_init__(self) -> None:
         for name in ("m0", "m1", "sigma_s2", "gamma", "alpha_bar", "ezq_abs",
@@ -198,7 +197,7 @@ def cascade_params(config: SystemConfig, shaping: ShapingFunction,
         ezq_abs=model.input_scale * abs(model.linear_gain),
         c1_abs=abs(model.linear_gain), c2=model.distortion_rms,
         tg_bar=model.interference_gain, mean_df=mom.mean_df, var_df=mom.var_df,
-        mean_f2=mom.mean_f2, mean_d2f2=mom.mean_d2f2, mean_d2=mom.mean_d2)
+        mean_f2=mom.mean_f2, mean_d2f2=mom.mean_d2f2)
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,8 @@ def _interference_nodes(eps: float, p: CascadeParams) -> dict:
     ns["eps4"] = td(p.c1_abs**2, p.sigma_s2, ns["eps3"])
     ns["eps5"] = td(1.0, p.sigma_s2, ns["eps4"])
     ns["eps6"] = ns["eps5"] / (1.0 + ns["eps5"])
-    ns["eps7"] = td(p.c2**2, p.mean_d2, ns["eps2"] / 6.0)
+    # E[d^2] = E[lambda] = 1: the Marchenko-Pastur law of H H^H has mean 1.
+    ns["eps7"] = td(p.c2**2, 1.0, ns["eps2"] / 6.0)
     ns["eps8"] = td(0.0, 2.0, ns["eps2"] / 6.0)
     ns["eps9"] = td(1.0, p.sigma_s, ns["eps8"] / 2.0)
     ns["eps10"] = ns["eps9"] / (1.0 + ns["eps9"])

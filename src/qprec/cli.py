@@ -380,7 +380,7 @@ def _suite_bounds_audit(cfg: ExperimentConfig):
     coupled = mdl.functional_models(system, cfg.shaping, cfg.quantizer)
     model = coupled.scalar
 
-    # Quantizer moment identity for the sign quantizer, with an MC cross-check.
+    # Quantizer moment identity for the sign quantizer.
     gm = qnt.gaussian_moments(qnt.one_bit(1.0 / math.sqrt(2.0)), model.input_scale)
     target = math.sqrt(2.0 / math.pi)
     records.append(Record(cfg.name, 0, k_big, "one_bit_corr_quadrature",

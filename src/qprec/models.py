@@ -23,7 +23,7 @@ per draw for the finite models, in expectation for the scalar model.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -146,16 +146,14 @@ class ShapedMoments:
     var_df: float       # var[d f(d)]
     mean_f2: float      # E[f(d)^2]
     mean_d2f2: float    # E[d^2 f(d)^2]
-    mean_d2: float      # E[d^2]
 
 
 def shaped_moments(shaping: ShapingFunction, law: MpLaw) -> ShapedMoments:
     mean_df = mp_moment(lambda d: d * shaping(d), law)
     mean_d2f2 = mp_moment(lambda d: (d * shaping(d)) ** 2, law)
     mean_f2 = mp_moment(lambda d: shaping(d) ** 2, law)
-    mean_d2 = mp_moment(lambda d: d * d, law)
     return ShapedMoments(mean_df=mean_df, var_df=mean_d2f2 - mean_df**2,
-                         mean_f2=mean_f2, mean_d2f2=mean_d2f2, mean_d2=mean_d2)
+                         mean_f2=mean_f2, mean_d2f2=mean_d2f2)
 
 
 @dataclass(frozen=True)
@@ -476,21 +474,17 @@ def sample_scalar_outputs(model: ScalarModel, config: SystemConfig, rng: RngStre
 class CoupledSamples:
     """Per-user samples of the finite and limiting models on shared draws.
 
-    The per-user fields ``s``, ``y_hat``, ``y_bar``, ``y_mid`` and ``g2_user``
-    are (trials x users) arrays, column j holding user j of each draw; the
+    The per-user fields ``s``, ``y_hat``, ``y_bar`` and ``g2_user`` are
+    (trials x users) arrays, column j holding user j of each draw; the
     per-draw fields ``signal_gain``, ``interference_gain``, ``input_scale`` and
     ``power_scale`` are (trials,) arrays that a draw's users share.
     ``CoupledModel.sample`` returns user 0's fields as (trials,) arrays.
-    ``y_mid`` evaluates the scalar model at the *finite-draw* scale pair
-    (power scale and input scale of that draw); it isolates the parameter
-    error from the gain-concentration error in optimizer diagnostics.
     ``g2_user`` is the shared unit Gaussian interference factor of the user.
     """
 
     s: np.ndarray
     y_hat: np.ndarray
     y_bar: np.ndarray
-    y_mid: np.ndarray
     signal_gain: np.ndarray
     interference_gain: np.ndarray
     g2_user: np.ndarray
@@ -526,8 +520,7 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
     first ``users`` users, so ``users = K`` gives every user of each draw.  A
     chunk of trials is evaluated under every shaping as one block: common
     random numbers, one spectrum per trial, one quantize call per chunk.  Each
-    shaping's limit is its ``asymptotic_model``.  ``y_mid``'s moments come from
-    one call over all trials' scales.
+    shaping's limit is its ``asymptotic_model``.
     """
     if not shapings:
         raise ValueError("need at least one shaping")
@@ -544,15 +537,11 @@ def sample_coupled(config: SystemConfig, quant: QuantizerSpec,
         s[rows], g2[rows], noise[rows] = block.s[:, :users], block.g2[:, :users], block_noise
     # A draw's quantities as (members x trials x 1), broadcast over its users.
     y_hat = eta[..., None] * (t_s[..., None] * s + t_g[..., None] * g2) + noise
-    # Each limit quantity as a (members x 1) column, broadcast over the trials.
-    moments = ShapedMoments(*np.array([astuple(m.moments) for m in scalars]).T[..., None])
-    ts_mid, tg_mid, _, _ = scalar_gains_at(moments, config.sigma2_sym,
-                                           gaussian_moments(quant, alpha))
-    y_mid = eta[..., None] * (ts_mid[..., None] * s + tg_mid[..., None] * g2) + noise
+    # Each limit quantity as a (members x 1 x 1) column, broadcast over the trials and users.
     power, ts_bar, tg_bar = np.array([[m.power_scale, m.signal_gain, m.interference_gain]
                                       for m in scalars]).T[..., None, None]
     y_bar = power * (ts_bar * s + tg_bar * g2) + noise
-    return [CoupledSamples(s=s, y_hat=y_hat[i], y_bar=y_bar[i], y_mid=y_mid[i],
+    return [CoupledSamples(s=s, y_hat=y_hat[i], y_bar=y_bar[i],
                            signal_gain=t_s[i], g2_user=g2, interference_gain=t_g[i],
                            input_scale=alpha[i], power_scale=eta[i])
             for i in range(len(shapings))]

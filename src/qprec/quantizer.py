@@ -356,7 +356,8 @@ def _gauss_expect_1d(fn, breaks) -> float:
 
     The envelope integrands live on bands of width tau around the
     discontinuity set, which a fixed-node rule cannot resolve for small tau;
-    ``breaks`` lists band locations so refinement starts inside them.
+    ``breaks`` lists band locations so refinement starts inside them; without
+    them it can miss the bands, so all are kept and the limit grows with them.
     """
     sd = np.sqrt(0.5)
     norm = sd * np.sqrt(2.0 * np.pi)
@@ -366,10 +367,8 @@ def _gauss_expect_1d(fn, breaks) -> float:
         return float(fn(np.asarray(u))) * np.exp(-u * u / (2.0 * sd * sd)) / norm
 
     pts = sorted({float(b) for b in breaks if lo < b < hi})
-    if len(pts) > 100 or not pts:
-        pts = None
-    val, _ = integrate.quad(weighted, lo, hi, points=pts,
-                            epsabs=1e-12, epsrel=1e-9, limit=500)
+    val, _ = integrate.quad(weighted, lo, hi, points=pts or None,
+                            epsabs=1e-12, epsrel=1e-9, limit=max(500, 10 * len(pts)))
     return val
 
 
@@ -377,8 +376,9 @@ def _gauss_expect_complex(fn) -> float:
     """E fn(Z) for Z ~ CN(0,1) on a dense polar tensor grid (400 x 4096, |Z| < 6).
 
     fn must be vectorized over complex arrays.  The angular trapezoid rule
-    is second order through the (known, kink-only) sector boundaries, which
-    is ample against the first-order bounds these values get compared to.
+    is second order through the (known, kink-only) sector boundaries, but
+    misses bands of small tau: against 65 536 angles, phase_ce(8) / (64) read
+    3e-5 / 7e-4 relative off at tau 0.1, 3e-3 / 0.2 at 0.01, 0.35 / 0.87 at 0.001.
     The angular nodes sit half a step off the axes, so none falls on a
     phase_ce sector boundary (where the tie rule would pick a side) and the
     grid is symmetric under conjugation.

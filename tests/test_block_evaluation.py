@@ -3,8 +3,9 @@ reference, bit for bit.
 
 The references below evaluate one draw and one shaping at a time: each with
 its own reflector set-ups and quantize call, and one scalar
-``gaussian_moments`` call per trial and member for ``y_mid``; one SVD per
-trial of the original model; one generator call per field of a raw draw.
+``gaussian_moments`` call per trial and member for ``sup_deviation``'s
+``y_mid``; one SVD per trial of the original model; one generator call per
+field of a raw draw.
 They use the same array arithmetic as the blocks (phases from a one-element
 slice, squares as products, ``y_hat`` from arrays of per-trial gains), with
 their draws written out call by call and their own Householder helpers, so
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+from qprec import metrics as met
 from qprec import models as md
 from qprec import optimizer as opt
 from qprec import quantizer as qt
@@ -172,7 +174,7 @@ def _sample_coupled(models, rng, trials, users=1):
     """The first ``users`` users of each trial; ``users = K`` is the whole K-user model."""
     config = models[0].config
     outs = [{name: np.empty((trials, users), dtype=complex)
-             for name in ("s", "y_bar", "y_mid", "g2_user")}
+             for name in ("s", "y_bar", "g2_user")}
             | {"signal_gain": np.empty(trials, dtype=complex)}
             | {name: np.empty(trials)
                for name in ("interference_gain", "input_scale", "power_scale")}
@@ -184,13 +186,8 @@ def _sample_coupled(models, rng, trials, users=1):
         s_k, g2_k, n_k = draw.s[:users], draw.g2[:users], noise[t]
         for m, out in zip(models, outs):
             ev = _evaluate(draw, config, m.shaping, m.quant)
-            model = m.scalar
-            ts_mid, tg_mid, _, _ = md.scalar_gains_at(
-                model.moments, model.sigma2_sym, qt.gaussian_moments(m.quant, ev["alpha"]))
             out["s"][t] = s_k
-            out["y_bar"][t] = model.power_scale * (model.signal_gain * s_k
-                                                   + model.interference_gain * g2_k) + n_k
-            out["y_mid"][t] = ev["eta"] * (ts_mid * s_k + tg_mid * g2_k) + n_k
+            out["y_bar"][t] = _y_bar(m.scalar, s_k, g2_k) + n_k
             out["signal_gain"][t] = ev["t_s"]
             out["g2_user"][t] = g2_k
             out["interference_gain"][t] = ev["t_g"]
@@ -201,6 +198,27 @@ def _sample_coupled(models, rng, trials, users=1):
                          for name in ("power_scale", "signal_gain", "interference_gain"))
         out["y_hat"] = eta * (t_s * out["s"] + t_g * out["g2_user"]) + noise
     return [md.CoupledSamples(**out) for out in outs]
+
+
+def _y_bar(model, s, g2):
+    return model.power_scale * (model.signal_gain * s + model.interference_gain * g2)
+
+
+def _mid_deviations(models, rng, trials):
+    """Each member's ||y_mid - y_bar|| on user 0, y_mid from the scalar model at
+    each trial's own (alpha, eta), both with the trial's noise."""
+    config = models[0].config
+    y_mid, y_bar = (np.empty((len(models), trials), dtype=complex) for _ in range(2))
+    for t in range(trials):
+        draw = _raw_draw(config, rng)
+        n_0 = _noise(1, config.sigma2_noise, rng)[0]
+        for i, m in enumerate(models):
+            ev = _evaluate(draw, config, m.shaping, m.quant)
+            ts_mid, tg_mid, _, _ = md.scalar_gains_at(
+                m.scalar.moments, config.sigma2_sym, qt.gaussian_moments(m.quant, ev["alpha"]))
+            y_mid[i, t] = ev["eta"] * (ts_mid * draw.s[0] + tg_mid * draw.g2[0]) + n_0
+            y_bar[i, t] = _y_bar(m.scalar, draw.s[0], draw.g2[0]) + n_0
+    return [met.l2_deviation(x, y).value for x, y in zip(y_mid, y_bar)]
 
 
 def _evaluations(config, shaping, quant, rng, trials, users):
@@ -254,6 +272,29 @@ def test_block_matches_member_by_member_reference(name, k):
     block = opt.feasibility_deviation(cfg, quant, GRID, RngStream(k, 3), 6)
     reference = _feasibility_deviation(cfg, quant, GRID, RngStream(k, 3), 6)
     assert block.hex() == reference.hex()
+
+
+@pytest.mark.parametrize("name", list(QUANTS))
+def test_sup_deviation_parameter_term_matches_the_trial_by_trial_reference(name, monkeypatch):
+    """sup_deviation's ||y_mid - y_bar|| of each member, without the noise that
+    cancels, against y_mid and y_bar formed per trial with it."""
+    cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0, sigma2_noise=0.1)
+    members = GRID.members()
+    values = []
+    original = opt.l2_deviation
+
+    def recorded(x, y):
+        est = original(x, y)
+        values.append(est.value)
+        return est
+
+    monkeypatch.setattr(opt, "l2_deviation", recorded)
+    trials = _across_chunks(cfg, len(members))
+    opt.sup_deviation(cfg, QUANTS[name], members, RngStream(16, 19), trials)
+    reference = _mid_deviations([md.functional_models(cfg, f, QUANTS[name]) for f in members],
+                                RngStream(16, 19), trials)
+    assert len(values) == 2 * len(members)
+    np.testing.assert_allclose(values[1::2], reference, rtol=1e-12, atol=0)
 
 
 def _across_chunks(cfg, members):
@@ -437,8 +478,8 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
-    """One draw per trial, one quantize call per chunk, one moment call in all."""
+def test_one_draw_and_one_quantize_per_chunk_serve_the_grid_without_moment_calls(monkeypatch):
+    """One draw per trial, one quantize call per chunk, and no moment call."""
     cfg = md.SystemConfig.with_gamma(k=16, gamma=4.0)
     for f in GRID.members():  # the limits are built (and cached) before counting
         md.asymptotic_model(cfg, f, qt.one_bit())
@@ -448,7 +489,7 @@ def test_one_draw_one_quantize_and_one_moment_call_serve_the_grid(monkeypatch):
     quantizes = _count_calls(monkeypatch, md, "quantize")
     moments = _count_calls(monkeypatch, md, "gaussian_moments")
     md.sample_coupled(cfg, qt.one_bit(), GRID.members(), RngStream(4, 0), trials)
-    assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 1)
+    assert (len(draws), len(quantizes), len(moments)) == (trials, 3, 0)
 
 
 @pytest.mark.parametrize("name", ["one_bit", "uniform_iq4"])

@@ -162,8 +162,7 @@ def test_sep_bar_noiseless_degenerate(one_bit_q):
     base = md.asymptotic_model(cfg, md.mf(), one_bit_q)
     mom = md.ShapedMoments(mean_df=base.moments.mean_df, var_df=0.0,
                            mean_f2=base.moments.mean_f2,
-                           mean_d2f2=base.moments.mean_df**2,
-                           mean_d2=base.moments.mean_d2)
+                           mean_d2f2=base.moments.mean_df**2)
     model = md.ScalarModel(input_scale=base.input_scale, power_scale=base.power_scale,
                            linear_gain=base.linear_gain, distortion_rms=0.0,
                            signal_gain=base.signal_gain, interference_gain=0.0,

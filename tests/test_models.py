@@ -194,8 +194,7 @@ def _degenerate_model(one_bit_q) -> md.ScalarModel:
     base = md.asymptotic_model(cfg, md.mf(), one_bit_q)
     mom = md.ShapedMoments(mean_df=base.moments.mean_df, var_df=0.0,
                            mean_f2=base.moments.mean_f2,
-                           mean_d2f2=base.moments.mean_df**2,
-                           mean_d2=base.moments.mean_d2)
+                           mean_d2f2=base.moments.mean_df**2)
     return md.ScalarModel(input_scale=base.input_scale, power_scale=base.power_scale,
                           linear_gain=base.linear_gain, distortion_rms=0.0,
                           signal_gain=base.signal_gain, interference_gain=0.0,
@@ -314,7 +313,7 @@ def test_coupled_sampler_takes_one_and_k_users(small_config, one_bit_q):
     for users in (1, k):
         out, = md.sample_coupled(small_config, one_bit_q, [md.mf()], RngStream(1, 0), 5,
                                  users=users)
-        for name in ("s", "y_hat", "y_bar", "y_mid", "g2_user"):
+        for name in ("s", "y_hat", "y_bar", "g2_user"):
             assert getattr(out, name).shape == (5, users), name
         for name in ("signal_gain", "interference_gain", "input_scale", "power_scale"):
             assert getattr(out, name).shape == (5,), name

@@ -307,6 +307,29 @@ def test_envelope_gap_requires_tau_in_range():
                 check(ONE_BIT, "real", tau, alpha_bar)
 
 
+def _midpoint_expectation(spec, tau, integrand):
+    """E integrand(U) for U ~ N(0, 1/2) along the real rail, by a midpoint rule
+    on [-6, 6] whose cell edges include every threshold (alpha_bar = 1), so the
+    jumps of the quantized component fall between nodes."""
+    h = spec.step / 1000
+    u = (np.arange(-round(6.0 / h), round(6.0 / h)) + 0.5) * h
+    env = qt.Envelope(spec, "real", tau)
+    values = integrand(env, u, u + 0j)
+    return float(np.sum(values * np.exp(-u * u)) * h / math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("spec, tau", [(qt.uniform_iq(16, 0.25), 0.01),
+                                       (qt.uniform_iq(32, 0.125), 0.1)])
+def test_envelope_expectations_of_many_levels_match_a_dense_rule(spec, tau):
+    """More than 100 band breaks: an adaptive rule without them read 0 for both."""
+    gap = _midpoint_expectation(spec, tau, lambda env, u, z: env.upper(z) - env.lower(z))
+    product = abs(_midpoint_expectation(
+        spec, tau, lambda env, u, z: np.maximum(u, 0.0) * env.lower(z)
+        + np.minimum(u, 0.0) * env.upper(z) - u * env.component_value(z)))
+    assert qt.envelope_gap_expectation(spec, "real", tau, 1.0)[0] == pytest.approx(gap, rel=1e-4)
+    assert qt.envelope_product_gap(spec, "real", tau, 1.0)[0] == pytest.approx(product, rel=1e-4)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.01])
 def test_signed_product_gap_below_sqrt_bound(tau):
     gap, bound = qt.envelope_product_gap(ONE_BIT, "real", tau, 1.0)

@@ -19,7 +19,8 @@ _OUTPUTS = {}
      ["value-gap bound"]),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
      ["phase_ce8 k=8 seed=1 optimal_gap_report ", "uniform_iq4 k=8 seed=1 sinr_gap_report ",
-      "one_bit k=8 seed=1 sample_coupled users=K ", "one_bit k=8 seed=1 sep_gap_report "]),
+      "one_bit k=8 seed=1 sample_coupled users=K ", "one_bit k=8 seed=1 sep_gap_report ",
+      "phase_ce8 k=8 seed=1 sup_deviation "]),
     ("output_digests.py", ["--k", "8", "--seeds", "1", "--trials", "3"],
      ["uniform_iq4 k=8 seed=- received_gap_tail ", "one_bit k=8 seed=- form_tail_reports ",
       "phase_ce8 k=- seed=- envelope_product_gap ", "phase_ce8 k=8 seed=- lss_variance "]),
